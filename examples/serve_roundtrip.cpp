@@ -59,7 +59,7 @@ int main() {
   for (const char* label : {"cold", "warm"}) {
     const clktune::util::Stopwatch timer;
     const serve::SubmitOutcome outcome =
-        serve::submit_document("127.0.0.1", server.port(), doc);
+        serve::Client("127.0.0.1", server.port()).run(doc);
     if (!outcome.ok() || outcome.results.size() != 1) {
       std::fprintf(stderr, "submit failed\n");
       return 1;
@@ -74,7 +74,7 @@ int main() {
         static_cast<unsigned long long>(outcome.cached), timer.seconds());
   }
 
-  serve::submit_request("127.0.0.1", server.port(), "shutdown", Json());
+  server.stop();
   accept_loop.join();
   return 0;
 }

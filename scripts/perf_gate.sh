@@ -1,7 +1,7 @@
 #!/bin/sh
 # Perf-trajectory gate for BenchReport artifacts (src/bench/bench_report.h).
 #
-# Directory mode — gate every baselined bench, or a named subset:
+# Gates every baselined bench, or a named subset:
 #
 #   perf_gate.sh <baselines_dir> <current_dir> [bench ...]
 #
@@ -23,12 +23,6 @@
 # the baselines directory is gated, so a new checked-in baseline joins the
 # trajectory automatically.
 #
-# Legacy mode (kept for existing callers):
-#
-#   perf_gate.sh <baseline.json> <current.json> <max_regression_pct>
-#
-# gates that one file pair on wall_seconds only.
-#
 # Exit codes: 0 every rule held, 1 a metric moved beyond its tolerance,
 # 2 structural failure — missing file, missing metric, unknown mode, or a
 # current artifact stamped with injected faults (a chaos experiment, not a
@@ -39,7 +33,6 @@ set -eu
 
 usage() {
   echo "usage: perf_gate.sh <baselines_dir> <current_dir> [bench ...]" >&2
-  echo "       perf_gate.sh <baseline.json> <current.json> <max_pct>" >&2
   exit 2
 }
 
@@ -98,23 +91,6 @@ check() {
   }'
 }
 
-# ---- legacy single-pair mode ------------------------------------------
-if [ $# -eq 3 ] && [ -f "$1" ]; then
-  require_file "$1"
-  require_file "$2"
-  require_fault_free "$2"
-  base=$(metric_of "$1" wall_seconds)
-  cur=$(metric_of "$2" wall_seconds)
-  if [ -z "$base" ] || [ -z "$cur" ]; then
-    echo "perf_gate: wall_seconds missing in $1 or $2" >&2
-    exit 2
-  fi
-  check "$(basename "$2")" wall_seconds max_increase_pct "$3" \
-        "$base" "$cur"
-  exit $?
-fi
-
-# ---- directory (trajectory) mode --------------------------------------
 [ $# -ge 2 ] || usage
 bdir=$1
 cdir=$2

@@ -474,10 +474,6 @@ std::unique_ptr<clktune::cache::ResultCache> make_cache(const Options& opt) {
   return std::make_unique<clktune::cache::ResultCache>(opt.cache_dir);
 }
 
-/// Progress printer shared by run / sweep / submit: human lines by
-/// default, machine-readable NDJSON with --progress, nothing with --quiet.
-/// Cells finish on worker threads; each line is a single stdio call, so
-/// lines never interleave.
 /// Kind-aware one-line cell summary for human progress output ("yield
 /// 61.20% -> 95.40%", "top-arc criticality ...", "12 bins ...").
 std::string cell_summary(const clktune::scenario::ScenarioResult& result) {
@@ -508,39 +504,10 @@ std::string cell_summary(const clktune::scenario::ScenarioResult& result) {
   return buf;
 }
 
-/// Same summary from a raw result artifact — the detached-attach path
-/// streams JSON frames and never materialises a ScenarioResult.
-std::string cell_summary(const Json& result) {
-  const Json* kind = result.find("kind");
-  const std::string k = kind != nullptr ? kind->as_string() : "yield";
-  char buf[160];
-  if (k == "criticality") {
-    const clktune::util::JsonArray& arcs =
-        result.at("criticality").at("arcs").as_array();
-    std::snprintf(buf, sizeof(buf),
-                  "top-arc criticality %.2f%% -> %.2f%% (%zu arcs ranked)",
-                  arcs.empty() ? 0.0
-                               : 100.0 * arcs.front().at("before").as_double(),
-                  arcs.empty() ? 0.0
-                               : 100.0 * arcs.front().at("after").as_double(),
-                  arcs.size());
-  } else if (k == "binning") {
-    const Json& binning = result.at("binning");
-    std::snprintf(buf, sizeof(buf),
-                  "%zu bins  sell T=%.1f ps  unsellable %.2f%%",
-                  binning.at("bins").as_array().size(),
-                  binning.at("expected_sell_period_ps").as_double(),
-                  100.0 * binning.at("unsellable_fraction").as_double());
-  } else {
-    std::snprintf(buf, sizeof(buf), "yield %.2f%% -> %.2f%%",
-                  100.0 * result.at("yield").at("original").at("yield")
-                              .as_double(),
-                  100.0 * result.at("yield").at("tuned").at("yield")
-                              .as_double());
-  }
-  return buf;
-}
-
+/// Progress printer shared by run / sweep / submit / fanout / job attach:
+/// human lines by default, machine-readable NDJSON with --progress,
+/// nothing with --quiet.  Cells finish on worker threads; each line is a
+/// single stdio call, so lines never interleave.
 class CliObserver : public clktune::exec::Observer {
  public:
   explicit CliObserver(const Options& opt) : opt_(opt) {}
@@ -666,6 +633,24 @@ std::uint16_t submit_port(const Options& opt) {
   return opt.port < 0 ? kDefaultPort : static_cast<std::uint16_t>(opt.port);
 }
 
+clktune::serve::Client daemon_client(const Options& opt) {
+  return {opt.host, submit_port(opt), submit_timeouts(opt)};
+}
+
+/// Emits the daemon's answer and exits 0 when it is an `event` frame;
+/// otherwise prints its error (after `failure`) and exits 2.
+int emit_answer(const Options& opt,
+                const clktune::serve::SubmitOutcome& outcome,
+                const char* event, const char* failure = "") {
+  if (outcome.is(event)) {
+    emit(opt, outcome.final_event);
+    return 0;
+  }
+  std::fprintf(stderr, "clktune: %s%s\n", failure,
+               outcome.error_message("connection closed").c_str());
+  return 2;
+}
+
 /// `submit --detach`: enqueue the document as a durable async job and
 /// return immediately with its descriptor — admission is O(enqueue) on the
 /// daemon, no cell is computed before this prints.  The id feeds
@@ -677,20 +662,9 @@ int cmd_submit_detached(const Options& opt, const Json& doc) {
     std::fprintf(stderr, "clktune: --detach does not combine with --shard\n");
     return 1;
   }
-  Json wire = Json::object();
-  wire.set("cmd", "submit");
-  wire.set("doc", doc);
-  const clktune::serve::SubmitOutcome outcome = clktune::serve::submit_raw(
-      opt.host, submit_port(opt), wire, {}, submit_timeouts(opt));
-  const Json* event = outcome.final_event.find("event");
-  if (event == nullptr || event->as_string() != "job") {
-    const Json* message = outcome.final_event.find("message");
-    std::fprintf(stderr, "clktune: submit rejected: %s\n",
-                 message != nullptr ? message->as_string().c_str()
-                                    : "connection closed");
-    return 2;
-  }
-  emit(opt, outcome.final_event);
+  const clktune::serve::SubmitOutcome outcome =
+      daemon_client(opt).submit(doc);
+  if (emit_answer(opt, outcome, "job", "submit rejected: ") != 0) return 2;
   if (!opt.quiet && !opt.progress)
     std::fprintf(stderr, "clktune: job %s queued; clktune job attach %s\n",
                  outcome.final_event.at("id").as_string().c_str(),
@@ -726,6 +700,16 @@ int cmd_submit(const Options& opt) {
   return outcome.ok() ? 0 : 3;
 }
 
+/// The daemon pool `--fleet` and `--daemons` name, fleet file first.
+clktune::fleet::FleetSpec pool_of(const Options& opt) {
+  clktune::fleet::FleetSpec pool;
+  if (!opt.fleet_file.empty())
+    pool = clktune::fleet::FleetSpec::from_file(opt.fleet_file);
+  if (!opt.daemons.empty())
+    pool.merge(clktune::fleet::FleetSpec::parse_daemon_list(opt.daemons));
+  return pool;
+}
+
 int cmd_fanout(const Options& opt) {
   if (opt.daemons.empty() && opt.fleet_file.empty()) {
     std::fprintf(stderr,
@@ -733,12 +717,7 @@ int cmd_fanout(const Options& opt) {
     print_usage(stderr);
     return 1;
   }
-  clktune::fleet::FleetSpec pool;
-  if (!opt.fleet_file.empty())
-    pool = clktune::fleet::FleetSpec::from_file(opt.fleet_file);
-  if (!opt.daemons.empty())
-    pool.merge(clktune::fleet::FleetSpec::parse_daemon_list(opt.daemons));
-
+  clktune::fleet::FleetSpec pool = pool_of(opt);
   clktune::fleet::FleetOptions fleet_options;
   fleet_options.unit_cells = opt.unit_cells;
   fleet_options.max_retries = opt.retries;
@@ -770,22 +749,6 @@ int cmd_fanout(const Options& opt) {
   return outcome.ok() ? 0 : 3;
 }
 
-/// Emits a job lifecycle frame or an error diagnostic; exit 0 on a job
-/// frame, 2 when the server answered with an error.
-int emit_job_frame(const Options& opt,
-                   const clktune::serve::SubmitOutcome& outcome) {
-  const Json* event = outcome.final_event.find("event");
-  if (event != nullptr && event->as_string() == "job") {
-    emit(opt, outcome.final_event);
-    return 0;
-  }
-  const Json* message = outcome.final_event.find("message");
-  std::fprintf(stderr, "clktune: %s\n",
-               message != nullptr ? message->as_string().c_str()
-                                  : "connection closed");
-  return 2;
-}
-
 /// `clktune job attach <id>`: stream the job's result frames — replayed
 /// for finished cells, live otherwise — and rebuild the synchronous
 /// artifact from them.  A done scenario job prints exactly what
@@ -794,70 +757,30 @@ int emit_job_frame(const Options& opt,
 /// drop-in for the blocking commands).
 int cmd_job_attach(const Options& opt, const std::string& id) {
   // A status round trip first: attach streams bare result frames, so the
-  // job's kind and name (needed to rebuild a campaign summary) come from
-  // the lifecycle frame.
-  Json status_wire = Json::object();
-  status_wire.set("cmd", "status");
-  status_wire.set("id", id);
-  const clktune::serve::SubmitOutcome status = clktune::serve::submit_raw(
-      opt.host, submit_port(opt), status_wire, {}, submit_timeouts(opt));
-  const Json* event = status.final_event.find("event");
-  if (event == nullptr || event->as_string() != "job")
-    return emit_job_frame(opt, status);
-  const std::string kind = status.final_event.at("kind").as_string();
-  const std::string name = status.final_event.at("name").as_string();
-  const std::size_t total =
-      static_cast<std::size_t>(status.final_event.at("cells_total").as_uint());
+  // job's kind, name and size come from the lifecycle frame.
+  const clktune::serve::Client daemon = daemon_client(opt);
+  const clktune::serve::SubmitOutcome status = daemon.status(id);
+  if (!status.is("job")) return emit_answer(opt, status, "job");
+  const Json& job = status.final_event;
+  const auto total = static_cast<std::size_t>(job.at("cells_total").as_uint());
 
-  std::size_t streamed = 0;
-  const auto progress = [&](const Json& frame) {
-    if (frame.at("event").as_string() != "result" || opt.quiet) return;
-    const Json& result = frame.at("result");
-    if (opt.progress) {
-      Json line = Json::object();
-      line.set("event", "cell");
-      line.set("index", frame.at("index").as_uint());
-      line.set("name", result.at("name").as_string());
-      line.set("cached", frame.at("cached").as_bool());
-      const std::string text = line.dump(-1) + "\n";
-      std::fputs(text.c_str(), stderr);
-      return;
-    }
-    std::fprintf(stderr, "clktune: [%zu/%zu] %s  %s%s\n", ++streamed, total,
-                 result.at("name").as_string().c_str(),
-                 cell_summary(result).c_str(),
-                 frame.at("cached").as_bool() ? "  (cached)" : "");
-  };
-  Json attach_wire = Json::object();
-  attach_wire.set("cmd", "attach");
-  attach_wire.set("id", id);
+  CliObserver observer(opt);
+  observer.on_begin(total, total);
+  clktune::serve::ResultAssembler cells(total, {}, &observer);
   const clktune::serve::SubmitOutcome stream =
-      clktune::serve::submit_raw(opt.host, submit_port(opt), attach_wire,
-                                 progress, submit_timeouts(opt));
-
+      daemon.attach(id, cells.stream(daemon.endpoint()));
   if (!stream.ok()) {
-    const Json* message = stream.final_event.find("message");
     std::fprintf(stderr, "clktune: %s\n",
-                 message != nullptr ? message->as_string().c_str()
-                                    : "connection closed mid-stream");
+                 stream.error_message("connection closed mid-stream").c_str());
     return 2;
   }
-  if (kind == "campaign") {
-    clktune::scenario::CampaignSummary summary;
-    summary.name = name;
-    // Null slots appear only for jobs submitted with an explicit index
-    // selection (the fleet's work units); the kept cells stay in
-    // expansion order, exactly like a shard summary.
-    for (const Json& artifact : stream.results)
-      if (artifact.is_object())
-        summary.results.push_back(
-            clktune::scenario::ScenarioResult::from_json(artifact));
-    summary.recount();
-    emit(opt, summary.to_json(false));
-  } else {
-    emit(opt, stream.results.at(0));
-  }
-  return stream.targets_missed() == 0 ? 0 : 3;
+  const clktune::exec::Outcome outcome = cells.outcome(
+      job.at("kind").as_string() == "campaign"
+          ? clktune::exec::Request::Kind::campaign
+          : clktune::exec::Request::Kind::scenario,
+      job.at("name").as_string(), "job " + id, 0.0);
+  emit(opt, outcome.artifact());
+  return outcome.ok() ? 0 : 3;
 }
 
 /// `clktune job <verb>` — the client side of the async job service.
@@ -874,41 +797,19 @@ int cmd_job(const Options& opt) {
     return 1;
   }
   const std::string& verb = opt.inputs[0];
-
-  if (verb == "prune") {
-    Json wire = Json::object();
-    wire.set("cmd", "prune");
-    wire.set("keep", static_cast<std::uint64_t>(opt.keep));
-    const clktune::serve::SubmitOutcome outcome = clktune::serve::submit_raw(
-        opt.host, submit_port(opt), wire, {}, submit_timeouts(opt));
-    const Json* event = outcome.final_event.find("event");
-    if (event == nullptr || event->as_string() != "pruned")
-      return emit_job_frame(opt, outcome);  // prints the error diagnostic
-    emit(opt, outcome.final_event);
-    return 0;
-  }
-
+  const clktune::serve::Client daemon = daemon_client(opt);
+  if (verb == "prune")
+    return emit_answer(opt, daemon.prune(opt.keep), "pruned");
   if (verb == "list") {
-    Json wire = Json::object();
-    wire.set("cmd", "jobs");
-    const clktune::serve::SubmitOutcome outcome = clktune::serve::submit_raw(
-        opt.host, submit_port(opt), wire, {}, submit_timeouts(opt));
-    const Json* event = outcome.final_event.find("event");
-    if (event == nullptr || event->as_string() != "jobs")
-      return emit_job_frame(opt, outcome);  // prints the error diagnostic
+    const clktune::serve::SubmitOutcome outcome = daemon.jobs();
+    if (!outcome.is("jobs")) return emit_answer(opt, outcome, "jobs");
     emit(opt, outcome.final_event.at("jobs"));
     return 0;
   }
-
   const std::string& id = opt.inputs[1];
   if (verb == "attach") return cmd_job_attach(opt, id);
-
-  Json wire = Json::object();
-  wire.set("cmd", verb);  // "status" or "cancel"
-  wire.set("id", id);
-  return emit_job_frame(
-      opt, clktune::serve::submit_raw(opt.host, submit_port(opt), wire, {},
-                                      submit_timeouts(opt)));
+  return emit_answer(
+      opt, verb == "status" ? daemon.status(id) : daemon.cancel(id), "job");
 }
 
 int cmd_cache(const Options& opt) {
@@ -1157,35 +1058,21 @@ int cmd_report(const Options& opt) {
 /// snapshot); --prom prints the daemon's Prometheus text exposition raw —
 /// suitable for piping into promtool or a scrape-file exporter.
 int cmd_metrics(const Options& opt) {
-  Json wire = Json::object();
-  wire.set("cmd", "metrics");
-  if (opt.prom) wire.set("format", "prometheus");
-  const clktune::serve::SubmitOutcome outcome = clktune::serve::submit_raw(
-      opt.host, submit_port(opt), wire, {}, submit_timeouts(opt));
-  const Json* event = outcome.final_event.find("event");
-  if (event == nullptr || event->as_string() != "metrics") {
-    const Json* message = outcome.final_event.find("message");
-    std::fprintf(stderr, "clktune: metrics failed: %s\n",
-                 message != nullptr ? message->as_string().c_str()
-                                    : "connection closed");
-    return 2;
-  }
-  if (opt.prom) {
-    const std::string& text = outcome.final_event.at("text").as_string();
-    if (opt.output.empty()) {
-      std::fwrite(text.data(), 1, text.size(), stdout);
-    } else {
-      std::ofstream out(opt.output, std::ios::binary | std::ios::trunc);
-      if (!out) {
-        std::fprintf(stderr, "clktune: cannot write %s\n",
-                     opt.output.c_str());
-        return 2;
-      }
-      out << text;
-    }
+  const clktune::serve::SubmitOutcome outcome =
+      daemon_client(opt).metrics(opt.prom);
+  if (!opt.prom || !outcome.is("metrics"))
+    return emit_answer(opt, outcome, "metrics", "metrics failed: ");
+  const std::string& text = outcome.final_event.at("text").as_string();
+  if (opt.output.empty()) {
+    std::fwrite(text.data(), 1, text.size(), stdout);
     return 0;
   }
-  emit(opt, outcome.final_event);
+  std::ofstream out(opt.output, std::ios::binary | std::ios::trunc);
+  if (!out) {
+    std::fprintf(stderr, "clktune: cannot write %s\n", opt.output.c_str());
+    return 2;
+  }
+  out << text;
   return 0;
 }
 
@@ -1204,20 +1091,10 @@ int cmd_fleet(const Options& opt) {
     print_usage(stderr);
     return 1;
   }
-  clktune::fleet::FleetSpec pool;
-  if (!opt.fleet_file.empty())
-    pool = clktune::fleet::FleetSpec::from_file(opt.fleet_file);
-  if (!opt.daemons.empty())
-    pool.merge(clktune::fleet::FleetSpec::parse_daemon_list(opt.daemons));
-
   // Probes answer instantly by design, so they always get a bounded read
   // deadline — a wedged daemon must render as dead, not hang the table.
-  clktune::serve::SubmitOptions timeouts = submit_timeouts(opt);
-  if (timeouts.io_timeout_ms <= 0)
-    timeouts.io_timeout_ms =
-        timeouts.connect_timeout_ms > 0 ? timeouts.connect_timeout_ms : 5000;
-  const clktune::fleet::PoolStatus status =
-      clktune::fleet::probe_pool(pool, timeouts);
+  const clktune::fleet::PoolStatus status = clktune::fleet::probe_pool(
+      pool_of(opt), clktune::serve::bounded(submit_timeouts(opt)));
 
   if (opt.json) {
     emit(opt, status.to_json());
@@ -1308,15 +1185,7 @@ int cmd_bench(const Options& opt) {
 /// `clktune drain`: ask a running server to stop admission, finish its
 /// in-flight work and exit — the remote form of SIGTERM.
 int cmd_drain(const Options& opt) {
-  Json wire = Json::object();
-  wire.set("cmd", "drain");
-  const clktune::serve::SubmitOutcome outcome = clktune::serve::submit_raw(
-      opt.host, submit_port(opt), wire, {}, submit_timeouts(opt));
-  const Json* event = outcome.final_event.find("event");
-  if (event == nullptr || event->as_string() != "draining")
-    return emit_job_frame(opt, outcome);  // prints the error diagnostic
-  emit(opt, outcome.final_event);
-  return 0;
+  return emit_answer(opt, daemon_client(opt).drain(), "draining");
 }
 
 int cmd_serve(const Options& opt) {

@@ -5,7 +5,7 @@
 // inverse: given all n shard summaries it interleaves their cells back
 // into expansion order and produces a summary byte-identical to the one an
 // unsharded sweep of the same campaign would have written.  Backs
-// `clktune report --merge` and ShardedExecutor.
+// `clktune report --merge`.
 #pragma once
 
 #include <vector>

@@ -1,143 +1,38 @@
 #include "exec/remote_executor.h"
 
-#include <algorithm>
-#include <utility>
-#include <vector>
-
-#include "serve/client.h"
 #include "util/timer.h"
 
 namespace clktune::exec {
 
-using util::Json;
-
-namespace {
-
-struct RemoteCell {
-  std::size_t index = 0;  ///< global expansion index from the wire
-  scenario::ScenarioResult result;
-  bool cached = false;
-};
-
-}  // namespace
-
 Outcome RemoteExecutor::execute(const Request& request, Observer* observer) {
   request.validate();
   const util::Stopwatch timer;
-
-  Json wire = Json::object();
-  wire.set("cmd",
-           request.kind == Request::Kind::scenario ? "run" : "sweep");
-  wire.set("doc", request.document());
-  if (request.shard_count > 1) {
-    Json shard = Json::object();
-    shard.set("index", static_cast<std::uint64_t>(request.shard_index));
-    shard.set("count", static_cast<std::uint64_t>(request.shard_count));
-    wire.set("shard", std::move(shard));
-  }
-  if (!request.indices.empty()) {
-    Json indices = Json::array();
-    for (const std::size_t index : request.indices)
-      indices.push_back(static_cast<std::uint64_t>(index));
-    wire.set("indices", std::move(indices));
-  }
+  const serve::Client client(host_, port_, timeouts_);
+  const serve::Selection selection = serve::Selection::of(request);
+  serve::ResultAssembler cells(request.expansion_size(), selection, observer);
 
   if (observer != nullptr)
     observer->on_begin(request.expansion_size(), request.shard_cells());
 
-  std::vector<RemoteCell> cells;
   serve::SubmitOutcome stream;
   try {
-    stream = serve::submit_raw(
-        host_, port_, wire,
-        [&](const Json& event) {
-          if (event.at("event").as_string() != "result") return;
-          if (observer != nullptr && observer->cancelled())
-            throw CancelledError("exec: remote stream cancelled");
-          RemoteCell cell;
-          cell.index = event.at("index").as_uint();
-          cell.result =
-              scenario::ScenarioResult::from_json(event.at("result"));
-          cell.cached = event.at("cached").as_bool();
-          if (observer != nullptr) {
-            CellEvent forwarded{cell.index, cell.result, cell.cached,
-                                cell.cached ? 0.0 : cell.result.seconds};
-            observer->on_cell(forwarded);
-          }
-          cells.push_back(std::move(cell));
-        },
-        timeouts_);
+    const serve::EventCallback hook = cells.stream(client.endpoint());
+    stream = request.kind == Request::Kind::scenario
+                 ? client.run(request.document(), hook)
+                 : client.sweep(request.document(), selection, hook);
   } catch (const CancelledError&) {
+    throw;
+  } catch (const ExecError&) {
     throw;
   } catch (const util::JsonError&) {
     throw;
   } catch (const std::runtime_error& e) {
     throw ExecError(name() + ": " + e.what());
   }
-
-  if (!stream.ok()) {
-    const Json* message = stream.final_event.find("message");
-    throw ExecError(name() + ": " +
-                    (message != nullptr ? message->as_string()
-                                        : "connection closed"));
-  }
-
-  // Streamed completion order back to expansion order — the daemon tags
-  // every cell with its global expansion index.
-  std::sort(cells.begin(), cells.end(),
-            [](const RemoteCell& a, const RemoteCell& b) {
-              return a.index < b.index;
-            });
-
-  // The daemon must have honoured the selection — shard slice or explicit
-  // index list: exactly the requested cells, none duplicated.  A daemon
-  // that ignored the "shard" / "indices" member would otherwise corrupt a
-  // downstream merge silently instead of failing here.
-  if (request.kind == Request::Kind::campaign) {
-    if (cells.size() != request.shard_cells())
-      throw ExecError(name() + ": server sent " +
-                      std::to_string(cells.size()) + " cells, expected " +
-                      std::to_string(request.shard_cells()));
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const bool belongs =
-          request.indices.empty()
-              ? cells[i].index % request.shard_count == request.shard_index
-              : cells[i].index == request.indices[i];
-      if (!belongs || (i > 0 && cells[i].index == cells[i - 1].index))
-        throw ExecError(name() + ": cell index " +
-                        std::to_string(cells[i].index) +
-                        " does not belong to the requested " +
-                        (request.indices.empty() ? "shard slice"
-                                                 : "index list"));
-    }
-  }
-
-  if (request.kind == Request::Kind::scenario) {
-    if (cells.size() != 1)
-      throw ExecError(name() + ": server sent no result");
-    Outcome outcome;
-    outcome.kind = Request::Kind::scenario;
-    outcome.result = std::move(cells.front().result);
-    outcome.scenarios_run = 1;
-    outcome.scenarios_cached = cells.front().cached ? 1 : 0;
-    outcome.targets_missed = outcome.result.met_target ? 0 : 1;
-    outcome.seconds = timer.seconds();
-    outcome.backend = name();
-    return outcome;
-  }
-
-  scenario::CampaignSummary summary;
-  summary.name = request.campaign.name;
-  summary.shard_index = request.shard_index;
-  summary.shard_count = request.shard_count;
-  summary.results.reserve(cells.size());
-  for (RemoteCell& cell : cells) {
-    summary.scenarios_cached += cell.cached ? 1 : 0;
-    summary.results.push_back(std::move(cell.result));
-  }
-  summary.recount();
-  summary.total_seconds = timer.seconds();
-  return Outcome::from_summary(std::move(summary), name());
+  if (!stream.ok())
+    throw ExecError(name() + ": " + stream.error_message("connection closed"));
+  return cells.outcome(request.kind, request.campaign.name, name(),
+                       timer.seconds());
 }
 
 }  // namespace clktune::exec

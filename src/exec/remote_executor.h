@@ -1,12 +1,11 @@
 // Remote backend: a `clktune serve` daemon behind the Executor interface.
 //
-// The request's resolved document travels over the NDJSON serve protocol
-// (`{"cmd":"run"|"sweep","doc":{...}[,"shard":{...}]}`); streamed "result"
-// events become Observer cells, and the reassembled artifacts — which
-// round-trip byte-exactly — rebuild the same ScenarioResult /
-// CampaignSummary a LocalExecutor would have produced.  A shard slice is
-// forwarded to the daemon, so ShardedExecutor over several RemoteExecutors
-// fans one campaign out across daemons.
+// The request's resolved document travels as a serve::Client run or sweep
+// (a shard slice or index list rides along as the sweep's selection);
+// serve::ResultAssembler turns the streamed "result" events into Observer
+// cells and rebuilds the same ScenarioResult / CampaignSummary a
+// LocalExecutor would have produced — the artifacts round-trip
+// byte-exactly.  `clktune submit` (and `--shard i/n`) runs through here.
 #pragma once
 
 #include <cstdint>

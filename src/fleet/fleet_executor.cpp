@@ -5,13 +5,11 @@
 #include <condition_variable>
 #include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "exec/remote_executor.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "serve/client.h"
@@ -78,6 +76,7 @@ class InflightGuard {
 /// are deterministic and partial progress counts.
 struct WorkUnit {
   std::size_t id = 0;
+  std::vector<std::size_t> cells;  ///< the whole unit; streams stay inside
   std::vector<std::size_t> remaining;
   std::size_t attempts = 0;     ///< failed dispatches so far
   std::size_t busy_streak = 0;  ///< consecutive busy rejections
@@ -100,36 +99,15 @@ serve::SubmitOptions timeouts_of(const FleetOptions& options) {
   return timeouts;
 }
 
-/// Timeouts for exchanges that answer instantly by design (probe, job
-/// admission, cancel): unlike attach streams — where a computing daemon
-/// is legitimately silent — these always get a bounded read deadline, or
-/// one wedged-but-accepting daemon would hang its dispatcher forever.
-serve::SubmitOptions bounded_timeouts_of(const FleetOptions& options) {
-  serve::SubmitOptions timeouts = timeouts_of(options);
-  if (timeouts.io_timeout_ms <= 0)
-    timeouts.io_timeout_ms = timeouts.connect_timeout_ms > 0
-                                 ? timeouts.connect_timeout_ms
-                                 : 5000;
-  return timeouts;
-}
-
-/// One status round trip; true when the daemon answered (busy counts as
-/// alive-but-saturated, never dead).  The one definition of "healthy",
-/// shared by the up-front probe and mid-campaign re-probing.
+/// One status round trip judged by SubmitOutcome::healthy(), shared by
+/// the up-front probe and mid-campaign re-probing.
 bool probe_member(const FleetMember& member, const FleetOptions& options,
                   std::string& error) {
-  Json status = Json::object();
-  status.set("cmd", "status");
   try {
-    const serve::SubmitOutcome outcome = serve::submit_raw(
-        member.host, member.port, status, {}, bounded_timeouts_of(options));
-    const Json* event = outcome.final_event.find("event");
-    if (event != nullptr && event->as_string() == "status") return true;
-    const Json* code = outcome.final_event.find("code");
-    if (code != nullptr && code->is_string() && code->as_string() == "busy")
-      return true;
-    const Json* message = outcome.final_event.find("message");
-    error = message != nullptr ? message->as_string() : "no status response";
+    const serve::SubmitOutcome outcome =
+        member.client(serve::bounded(timeouts_of(options))).status();
+    if (outcome.healthy()) return true;
+    error = outcome.error_message("no status response");
   } catch (const std::exception& e) {
     error = e.what();
   }
@@ -153,7 +131,7 @@ class CampaignDispatch {
         observer_(observer),
         document_(request.document()),
         total_cells_(request.expansion_size()),
-        cells_(total_cells_),
+        cells_(total_cells_, serve::Selection{}, observer),
         member_dead_(spec.members.size()) {
     for (std::size_t m = 0; m < spec_.members.size(); ++m) {
       member_dead_[m].store(alive[m] == 0);
@@ -162,7 +140,7 @@ class CampaignDispatch {
     initial_alive_ = alive_members_;
   }
 
-  scenario::CampaignSummary run() {
+  exec::Outcome run(const std::string& backend, const util::Stopwatch& timer) {
     if (observer_ != nullptr) observer_->on_begin(total_cells_, total_cells_);
 
     const std::size_t unit_cells =
@@ -172,7 +150,8 @@ class CampaignDispatch {
       unit.id = pending_.size();
       for (std::size_t i = begin;
            i < begin + unit_cells && i < total_cells_; ++i)
-        unit.remaining.push_back(i);
+        unit.cells.push_back(i);
+      unit.remaining = unit.cells;
       pending_.push_back(std::move(unit));
     }
     outstanding_ = pending_.size();
@@ -204,27 +183,11 @@ class CampaignDispatch {
     if (cancelled_)
       throw CancelledError("fleet: campaign cancelled by the observer");
     if (failed_) throw ExecError(failure_);
-
-    scenario::CampaignSummary summary;
-    summary.name = request_.campaign.name;
-    summary.results.reserve(total_cells_);
-    for (std::size_t i = 0; i < total_cells_; ++i) {
-      if (cells_[i].result == nullptr)
-        throw ExecError("fleet: internal error: cell " + std::to_string(i) +
-                        " never arrived");
-      summary.scenarios_cached += cells_[i].cached ? 1 : 0;
-      summary.results.push_back(std::move(*cells_[i].result));
-    }
-    summary.recount();
-    return summary;
+    return cells_.outcome(exec::Request::Kind::campaign,
+                          request_.campaign.name, backend, timer.seconds());
   }
 
  private:
-  struct CellSlot {
-    std::unique_ptr<scenario::ScenarioResult> result;
-    bool cached = false;
-  };
-
   /// Starts this member's dispatchers (weight many).  mutex_ held.
   void spawn_workers_locked(std::size_t member_id) {
     const std::size_t weight = spec_.members[member_id].weight;
@@ -326,11 +289,11 @@ class CampaignDispatch {
   /// dispatcher must exit (its daemon died, the campaign failed or was
   /// cancelled).  The unit travels through the daemon's durable job
   /// queue: submit (O(enqueue) admission, or reuse the job a previous
-  /// attempt created), then attach and stream.  Speaking the wire
-  /// protocol directly — rather than wrapping exec::RemoteExecutor —
-  /// keeps the cells a dying daemon streamed before the failure
-  /// (RemoteExecutor's contract is all-or-nothing) and the busy/dead
-  /// distinction of the terminal frame's "code".
+  /// attempt created), then attach and stream.  Using the client verbs
+  /// directly — rather than wrapping exec::RemoteExecutor — keeps the
+  /// cells a dying daemon streamed before the failure (RemoteExecutor's
+  /// contract is all-or-nothing) and the busy/dead distinction of the
+  /// terminal frame.
   bool dispatch_unit(std::size_t member_id, WorkUnit unit) {
     const FleetMember& member = spec_.members[member_id];
     // Crash point: the dispatching client process dying mid-campaign —
@@ -347,18 +310,10 @@ class CampaignDispatch {
     if (known != unit.job_ids.end()) job_id = known->second;
     try {
       if (job_id.empty()) {
-        Json wire = Json::object();
-        wire.set("cmd", "submit");
-        wire.set("doc", document_);
-        Json indices = Json::array();
-        for (const std::size_t index : unit.remaining)
-          indices.push_back(static_cast<std::uint64_t>(index));
-        wire.set("indices", std::move(indices));
         const serve::SubmitOutcome admitted =
-            serve::submit_raw(member.host, member.port, wire, {},
-                              bounded_timeouts_of(options_));
-        const Json* event = admitted.final_event.find("event");
-        if (event != nullptr && event->as_string() == "job") {
+            member.client(serve::bounded(timeouts_of(options_)))
+                .submit(document_, unit.remaining);
+        if (admitted.is("job")) {
           job_id = admitted.final_event.at("id").as_string();
           unit.job_ids[member_id] = job_id;
         } else {
@@ -367,15 +322,10 @@ class CampaignDispatch {
           stream = admitted;
         }
       }
-      if (!job_id.empty()) {
-        Json wire = Json::object();
-        wire.set("cmd", "attach");
-        wire.set("id", job_id);
-        stream = serve::submit_raw(
-            member.host, member.port, wire,
-            [&](const Json& event) { on_stream_event(event); },
-            timeouts_of(options_));
-      }
+      if (!job_id.empty())
+        stream = member.client(timeouts_of(options_))
+                     .attach(job_id,
+                             cells_.stream(member.endpoint(), unit.cells));
     } catch (const CancelledError&) {
       // Best effort: the daemon keeps the job otherwise, and while its
       // cells would only warm the cache, cancelling frees its workers.
@@ -394,8 +344,7 @@ class CampaignDispatch {
     // a dying daemon — every bit as dead as a reset: retire it, or its
     // own worker would redispatch the unit straight back at the corpse
     // and burn the bounded attempts on a single failure.
-    if (!transport_failure &&
-        stream.final_event.find("event") == nullptr) {
+    if (!transport_failure && stream.eof()) {
       transport_failure = true;
       error = "connection closed mid-unit";
     }
@@ -405,9 +354,7 @@ class CampaignDispatch {
     std::size_t busy_backoff = 0;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      std::vector<std::size_t> missing;
-      for (const std::size_t index : unit.remaining)
-        if (cells_[index].result == nullptr) missing.push_back(index);
+      std::vector<std::size_t> missing = cells_.missing(unit.remaining);
 
       if (missing.empty()) {
         // Everything owed arrived — even a daemon that died between its
@@ -415,12 +362,8 @@ class CampaignDispatch {
         --outstanding_;
       } else {
         if (!transport_failure) {
-          const Json* code = stream.final_event.find("code");
-          busy = code != nullptr && code->is_string() &&
-                 code->as_string() == "busy";
-          const Json* message = stream.final_event.find("message");
-          error = message != nullptr ? message->as_string()
-                                     : "daemon did not deliver the unit";
+          busy = stream.busy();
+          error = stream.error_message("daemon did not deliver the unit");
         }
         unit.remaining = std::move(missing);
         // Backpressure is not a failure: a saturated-but-healthy daemon
@@ -471,46 +414,10 @@ class CampaignDispatch {
 
   void cancel_job(const FleetMember& member, const std::string& job_id) {
     if (job_id.empty()) return;
-    Json wire = Json::object();
-    wire.set("cmd", "cancel");
-    wire.set("id", job_id);
     try {
-      serve::submit_raw(member.host, member.port, wire, {},
-                        bounded_timeouts_of(options_));
+      member.client(serve::bounded(timeouts_of(options_))).cancel(job_id);
     } catch (const std::exception&) {
       // An unreachable daemon cannot be cancelled anyway.
-    }
-  }
-
-  void on_stream_event(const Json& event) {
-    if (event.at("event").as_string() != "result") return;
-    if (observer_ != nullptr && observer_->cancelled())
-      throw CancelledError("fleet: stream cancelled");
-    const std::size_t index = event.at("index").as_uint();
-    auto result = std::make_unique<scenario::ScenarioResult>(
-        scenario::ScenarioResult::from_json(event.at("result")));
-    const bool cached = event.at("cached").as_bool();
-    const scenario::ScenarioResult* recorded = nullptr;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (index >= cells_.size())
-        throw ExecError("fleet: daemon sent out-of-range cell index " +
-                        std::to_string(index));
-      if (cells_[index].result == nullptr) {
-        cells_[index].result = std::move(result);
-        cells_[index].cached = cached;
-        recorded = cells_[index].result.get();
-      }
-    }
-    // Forward outside the lock: the slot is write-once and the vector
-    // never reallocates, so the pointer stays valid.  A duplicate (a
-    // requeued unit whose first owner already streamed this cell, or a
-    // re-attach replaying cells we already hold) is dropped so the
-    // observer sees every index exactly once.
-    if (recorded != nullptr && observer_ != nullptr) {
-      exec::CellEvent forwarded{index, *recorded, cached,
-                                cached ? 0.0 : recorded->seconds};
-      observer_->on_cell(forwarded);
     }
   }
 
@@ -562,38 +469,11 @@ class CampaignDispatch {
   std::size_t workers_running_ = 0;
   bool monitor_stop_ = false;
   std::deque<std::thread> dispatchers_;  ///< deque: grows while running
-  std::vector<CellSlot> cells_;
+  serve::ResultAssembler cells_;
   std::vector<std::atomic<bool>> member_dead_;
   bool failed_ = false;
   bool cancelled_ = false;
   std::string failure_;
-};
-
-/// Scenario failover: suppresses the child RemoteExecutor's own on_begin
-/// (the fleet already announced the run) and deduplicates on_cell across
-/// retry attempts, so the caller's observer sees the contract events
-/// exactly once.
-class OnceObserver : public exec::Observer {
- public:
-  explicit OnceObserver(exec::Observer* target) : target_(target) {}
-
-  void on_begin(std::size_t, std::size_t) override {}
-  void on_cell(const exec::CellEvent& event) override {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (cell_seen_) return;
-      cell_seen_ = true;
-    }
-    if (target_ != nullptr) target_->on_cell(event);
-  }
-  bool cancelled() override {
-    return target_ != nullptr && target_->cancelled();
-  }
-
- private:
-  exec::Observer* target_;
-  std::mutex mutex_;
-  bool cell_seen_ = false;
 };
 
 }  // namespace
@@ -661,24 +541,28 @@ exec::Outcome FleetExecutor::execute(const exec::Request& request,
       if (observer->cancelled())
         throw CancelledError("fleet: cancelled before the scenario started");
     }
-    OnceObserver once(observer);
+    // One assembler across the attempts: it keeps the first copy of the
+    // cell, so the observer sees it once however many daemons sent it.
+    serve::ResultAssembler cells(1, {}, observer);
+    const Json document = request.document();
     std::string diagnostics;
     for (std::size_t attempt = 0; attempt <= options_.max_retries;
          ++attempt) {
       const FleetMember& member =
           spec_.members[healthy[attempt % healthy.size()]];
-      exec::RemoteExecutor remote(member.host, member.port,
-                                  timeouts_of(options_));
+      diagnostics += (diagnostics.empty() ? "" : " | ") + member.endpoint();
       try {
-        exec::Outcome outcome = remote.execute(request, &once);
-        outcome.backend = name();
-        outcome.seconds = timer.seconds();
-        return outcome;
+        const serve::SubmitOutcome stream =
+            member.client(timeouts_of(options_))
+                .run(document, cells.stream(member.endpoint()));
+        if (stream.ok())
+          return cells.outcome(exec::Request::Kind::scenario, "", name(),
+                               timer.seconds());
+        diagnostics += ": " + stream.error_message("connection closed");
       } catch (const CancelledError&) {
         throw;
       } catch (const std::exception& e) {
-        diagnostics += (diagnostics.empty() ? "" : " | ");
-        diagnostics += e.what();
+        diagnostics += ": " + std::string(e.what());
       }
       // Jittered exponential pause between failover attempts (capped): a
       // briefly busy pool must not burn the whole budget within
@@ -695,9 +579,7 @@ exec::Outcome FleetExecutor::execute(const exec::Request& request,
   std::vector<char> alive(spec_.members.size(), 0);
   for (const std::size_t m : healthy) alive[m] = 1;
   CampaignDispatch dispatch(spec_, options_, alive, request, observer);
-  scenario::CampaignSummary summary = dispatch.run();
-  summary.total_seconds = timer.seconds();
-  return exec::Outcome::from_summary(std::move(summary), name());
+  return dispatch.run(name(), timer);
 }
 
 }  // namespace clktune::fleet

@@ -1,13 +1,13 @@
 // Fault-tolerant multi-daemon campaign orchestration: work-stealing
 // dispatch over a pool of `clktune serve` daemons.
 //
-// FleetExecutor supersedes static `i/n` sharding (exec::ShardedExecutor
-// over exec::RemoteExecutors) for cross-host fan-out: instead of fixing
+// FleetExecutor supersedes static `i/n` sharding (`clktune submit --shard`
+// per daemon, merged afterwards) for cross-host fan-out: instead of fixing
 // each daemon's slice up front, it splits a campaign's expansion indices
 // into small work units on a single shared queue and lets every daemon
 // pull the next unit the moment it finishes one — a fast machine simply
 // takes more units, and an uneven campaign never leaves half the pool
-// idle.  Each unit travels as a `{"cmd":"sweep","indices":[...]}` request
+// idle.  Each unit travels as an `"indices":[...]` selection
 // (docs/serve_protocol.md), so the daemons need no fleet awareness at all.
 //
 // Units travel through each daemon's durable job queue: the dispatcher

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "serve/client.h"
 #include "util/json.h"
 
 namespace clktune::fleet {
@@ -35,6 +36,9 @@ struct FleetMember {
 
   std::string endpoint() const {
     return host + ":" + std::to_string(port);
+  }
+  serve::Client client(serve::SubmitOptions options) const {
+    return serve::Client(host, port, options);
   }
 };
 

@@ -40,44 +40,30 @@ std::string format_uptime(double seconds) {
 void probe_one(const FleetMember& member,
                const serve::SubmitOptions& timeouts, DaemonProbe& probe) {
   probe.member = member;
-  Json status_cmd = Json::object();
-  status_cmd.set("cmd", "status");
+  const serve::Client client = member.client(timeouts);
   try {
-    const serve::SubmitOutcome outcome = serve::submit_raw(
-        member.host, member.port, status_cmd, {}, timeouts);
-    const Json* event = outcome.final_event.find("event");
-    if (event != nullptr && event->as_string() == "status") {
-      probe.alive = true;
-      probe.status = outcome.final_event;
-    } else {
-      const Json* code = outcome.final_event.find("code");
-      if (code != nullptr && code->is_string() &&
-          code->as_string() == "busy") {
-        // Saturated but alive: it answered, it just has no free handler —
-        // report it alive with the backpressure note, no stats.
-        probe.alive = true;
-        probe.error = "busy (admission queue full)";
-        return;
-      }
-      const Json* message = outcome.final_event.find("message");
-      probe.error = message != nullptr ? message->as_string()
-                                       : "no status response";
+    const serve::SubmitOutcome outcome = client.status();
+    probe.alive = outcome.healthy();
+    if (!probe.alive) {
+      probe.error = outcome.error_message("no status response");
       return;
     }
+    if (outcome.busy()) {
+      // Saturated but alive: it answered, it just has no free handler —
+      // report it alive with the backpressure note, no stats.
+      probe.error = "busy (admission queue full)";
+      return;
+    }
+    probe.status = outcome.final_event;
   } catch (const std::exception& e) {
     probe.error = e.what();
     return;
   }
   // Best-effort metrics snapshot; a daemon predating the verb answers
   // with an error frame and stays alive with an empty metrics object.
-  Json metrics_cmd = Json::object();
-  metrics_cmd.set("cmd", "metrics");
   try {
-    const serve::SubmitOutcome outcome = serve::submit_raw(
-        member.host, member.port, metrics_cmd, {}, timeouts);
-    const Json* event = outcome.final_event.find("event");
-    if (event != nullptr && event->as_string() == "metrics")
-      probe.metrics = outcome.final_event;
+    const serve::SubmitOutcome outcome = client.metrics();
+    if (outcome.is("metrics")) probe.metrics = outcome.final_event;
   } catch (const std::exception&) {
     // Health already established by the status round trip.
   }

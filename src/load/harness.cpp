@@ -31,12 +31,6 @@ constexpr std::size_t kRun = 0, kSweep = 1, kStatus = 2, kSubmit = 3,
 /// so wrapped laps still submit never-seen documents.
 constexpr std::size_t kScheduleChunk = 4096;
 
-bool is_busy_frame(const Json& final_event) {
-  const Json* code = final_event.find("code");
-  return code != nullptr && code->is_string() &&
-         code->as_string() == "busy";
-}
-
 enum class Status { ok, busy, error_frame, transport };
 
 /// Shared run state: counters are relaxed atomics, histograms are
@@ -96,65 +90,55 @@ class Worker {
   }
 
  private:
-  const fleet::FleetMember& target(const Op& op) const {
-    return options_.targets.members[op.target];
+  serve::Client client(const Op& op) const {
+    serve::SubmitOptions timeouts;
+    timeouts.connect_timeout_ms = options_.connect_timeout_ms;
+    timeouts.io_timeout_ms = options_.io_timeout_ms;
+    return options_.targets.members[op.target].client(timeouts);
   }
 
-  serve::SubmitOptions timeouts() const {
-    serve::SubmitOptions t;
-    t.connect_timeout_ms = options_.connect_timeout_ms;
-    t.io_timeout_ms = options_.io_timeout_ms;
-    return t;
-  }
-
-  /// One request/response exchange, timed end to end (connect included).
-  /// Records into the verb histogram for every exchange the server also
-  /// counted — a busy frame is rejected before the request line is read,
-  /// so it stays out; an error frame is a served request, so it counts.
-  Status exchange(const fleet::FleetMember& member, const Json& wire,
-                  std::size_t verb, std::uint64_t extra_ns,
+  /// One request/response exchange — `call` runs one client verb — timed
+  /// end to end (connect included).  Records into the verb histogram for
+  /// every exchange the server also counted — a busy frame is rejected
+  /// before the request line is read, so it stays out; an error frame is
+  /// a served request, so it counts.
+  template <typename Call>
+  Status exchange(std::size_t verb, std::uint64_t extra_ns, Call&& call,
                   serve::SubmitOutcome* outcome_out = nullptr) {
     const std::uint64_t t0 = obs::steady_now_ns();
     serve::SubmitOutcome outcome;
-    bool transport_failed = false;
     try {
-      outcome = serve::submit_raw(member.host, member.port, wire, {},
-                                  timeouts());
+      outcome = call();
     } catch (const std::exception&) {
-      transport_failed = true;
+      return Status::transport;
     }
     const std::uint64_t elapsed =
         obs::steady_now_ns() - t0 + extra_ns;
-    if (transport_failed) return Status::transport;
-    const Json* event = outcome.final_event.find("event");
-    if (event == nullptr) return Status::transport;  // EOF mid-stream
-    if (is_busy_frame(outcome.final_event)) return Status::busy;
+    if (outcome.eof()) return Status::transport;  // EOF mid-stream
+    if (outcome.busy()) return Status::busy;
     state_.verb_latency[verb].record(elapsed);
+    const Status status =
+        outcome.is("error") ? Status::error_frame : Status::ok;
     if (outcome_out != nullptr) *outcome_out = std::move(outcome);
-    return event->as_string() == "error" ? Status::error_frame : Status::ok;
+    return status;
   }
 
   Status run_scenario(const Op& op, std::uint64_t fresh_index,
                       std::uint64_t extra_ns) {
-    Json wire = Json::object();
-    wire.set("cmd", "run");
-    wire.set("doc", op.kind == OpKind::run_fresh
-                        ? fresh_scenario(base_doc_, fresh_index)
-                        : base_doc_);
-    return exchange(target(op), wire, kRun, extra_ns);
+    const Json doc = op.kind == OpKind::run_fresh
+                         ? fresh_scenario(base_doc_, fresh_index)
+                         : base_doc_;
+    return exchange(kRun, extra_ns, [&] { return client(op).run(doc); });
   }
 
   Status run_sweep(const Op& op, std::uint64_t extra_ns) {
-    Json wire = Json::object();
-    wire.set("cmd", "sweep");
-    wire.set("doc", sweep_doc_);
-    return exchange(target(op), wire, kSweep, extra_ns);
+    return exchange(kSweep, extra_ns,
+                    [&] { return client(op).sweep(sweep_doc_); });
   }
 
   Status run_status(const Op& op, std::uint64_t extra_ns) {
-    Json wire = Json::object();
-    wire.set("cmd", "status");
-    return exchange(target(op), wire, kStatus, extra_ns);
+    return exchange(kStatus, extra_ns,
+                    [&] { return client(op).status(); });
   }
 
   /// The detached lifecycle: submit --detach, poll status, attach.  Each
@@ -163,16 +147,13 @@ class Worker {
   /// load client — it becomes an error instead.
   Status run_job_flow(const Op& op, std::uint64_t fresh_index,
                       std::uint64_t extra_ns) {
-    Json submit_wire = Json::object();
-    submit_wire.set("cmd", "submit");
-    submit_wire.set("doc", fresh_scenario(base_doc_, fresh_index));
+    const serve::Client daemon = client(op);
+    const Json doc = fresh_scenario(base_doc_, fresh_index);
     serve::SubmitOutcome submitted;
-    const Status submit_status =
-        exchange(target(op), submit_wire, kSubmit, extra_ns, &submitted);
+    const Status submit_status = exchange(
+        kSubmit, extra_ns, [&] { return daemon.submit(doc); }, &submitted);
     if (submit_status != Status::ok) return submit_status;
-    const Json* event = submitted.final_event.find("event");
-    if (event == nullptr || event->as_string() != "job")
-      return Status::error_frame;
+    if (!submitted.is("job")) return Status::error_frame;
     const std::string id = submitted.final_event.at("id").as_string();
 
     const int poll_budget_ms =
@@ -181,12 +162,9 @@ class Worker {
         obs::steady_now_ns() +
         static_cast<std::uint64_t>(poll_budget_ms) * 1000000ULL;
     while (true) {
-      Json status_wire = Json::object();
-      status_wire.set("cmd", "status");
-      status_wire.set("id", id);
       serve::SubmitOutcome polled;
-      const Status poll_status =
-          exchange(target(op), status_wire, kStatus, 0, &polled);
+      const Status poll_status = exchange(
+          kStatus, 0, [&] { return daemon.status(id); }, &polled);
       if (poll_status == Status::transport) return poll_status;
       if (poll_status == Status::ok) {
         const std::string state =
@@ -200,10 +178,7 @@ class Worker {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
 
-    Json attach_wire = Json::object();
-    attach_wire.set("cmd", "attach");
-    attach_wire.set("id", id);
-    return exchange(target(op), attach_wire, kAttach, 0);
+    return exchange(kAttach, 0, [&] { return daemon.attach(id); });
   }
 
   void execute(const Op& op, std::uint64_t fresh_index,

@@ -74,18 +74,14 @@ ServerSnapshot fetch_server_snapshot(const fleet::FleetSpec& targets,
                                      const serve::SubmitOptions& timeouts) {
   ServerSnapshot snapshot;
   for (const fleet::FleetMember& member : targets.members) {
-    Json wire = Json::object();
-    wire.set("cmd", "metrics");
     serve::SubmitOutcome outcome;
     try {
-      outcome =
-          serve::submit_raw(member.host, member.port, wire, {}, timeouts);
+      outcome = member.client(timeouts).metrics();
     } catch (const std::exception& e) {
       throw std::runtime_error("metrics fetch from " + member.endpoint() +
                                " failed: " + e.what());
     }
-    const Json* event = outcome.final_event.find("event");
-    if (event == nullptr || event->as_string() != "metrics")
+    if (!outcome.is("metrics"))
       throw std::runtime_error("daemon " + member.endpoint() +
                                " answered the metrics verb with an error");
     const Json& metrics = outcome.final_event.at("metrics");

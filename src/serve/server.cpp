@@ -183,7 +183,7 @@ void ScenarioServer::serve_forever() {
 
   while (!stop_.load()) {
     util::TcpSocket connection = util::tcp_accept(listener_);
-    if (!connection.valid()) break;  // listener closed by stop()/shutdown
+    if (!connection.valid()) break;  // listener shut down by close_listener
     ++connections_;
     ServeMetrics::get().connections.inc();
     bool admitted = false;
@@ -242,6 +242,14 @@ void ScenarioServer::serve_forever() {
     }
   }
 
+  // Only this thread closes the listener, and only once its accept loop
+  // is gone: close_listener() merely shuts it down, so no other thread
+  // ever rewrites the fd tcp_accept reads.
+  {
+    const std::lock_guard<std::mutex> lock(listener_mutex_);
+    listener_.close();
+  }
+
   // Graceful drain: admission is already closed (the listener is down),
   // but connections that were accepted keep their handlers — wait up to
   // the grace period for the queue to empty and in-flight frames to
@@ -289,12 +297,14 @@ void ScenarioServer::serve_forever() {
 
 void ScenarioServer::close_listener() {
   const std::lock_guard<std::mutex> lock(listener_mutex_);
-  listener_.close();
+  // shutdown() refuses new connections and wakes a blocked accept()
+  // without invalidating the fd under it; serve_forever closes it.
+  if (listener_.valid()) ::shutdown(listener_.fd(), SHUT_RDWR);
 }
 
 void ScenarioServer::drain() {
   draining_.store(true);
-  // Closing the listener pops the accept loop out of tcp_accept();
+  // Shutting the listener down pops the accept loop out of tcp_accept();
   // serve_forever then runs the grace window before the hard wind-down.
   close_listener();
 }

@@ -43,9 +43,9 @@
 //                                     exactly like `clktune sweep --shard`
 //   {"indices":[i0,i1,...]}           run exactly these global expansion
 //                                     indices (strictly increasing)
-// The shard form backs static fan-out (exec::ShardedExecutor over
-// exec::RemoteExecutors); the indices form is the work-unit interface that
-// fleet::FleetExecutor feeds daemons work-stealing style.
+// The shard form backs static fan-out (`clktune submit --shard i/n`); the
+// indices form is the work-unit interface that fleet::FleetExecutor feeds
+// daemons work-stealing style.
 //
 //   result: {"event":"result","index":i,"cached":bool,"result":{artifact}}
 //   done:   {"event":"done","ok":true,"scenarios_run":n,
@@ -162,9 +162,9 @@ class ScenarioServer {
   double uptime_seconds() const;
   /// Registry of fds handlers are blocked on, so stop() can sever them.
   void track_connection(int fd, bool add);
-  /// Serialised listener close: the shutdown verb runs on handler
-  /// threads, so concurrent shutdowns (or shutdown racing stop()) must
-  /// not double-close the listener fd.
+  /// Stops admission: shuts the listener down, which wakes the accept
+  /// loop.  Safe from any thread (the shutdown verb runs on handlers);
+  /// only serve_forever closes the fd, after its accept loop exits.
   void close_listener();
 
   ServeOptions options_;

@@ -253,7 +253,25 @@ class Parser {
     }
   }
 
+  /// One open array/object for its lifetime; throws past kMaxJsonDepth,
+  /// before the recursion it bounds can overflow the stack.
+  class Nesting {
+   public:
+    explicit Nesting(Parser& parser) : parser_(parser) {
+      if (++parser_.depth_ > kMaxJsonDepth)
+        parser_.fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                     " levels");
+    }
+    ~Nesting() { --parser_.depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
   Json parse_object() {
+    const Nesting level(*this);
     expect('{');
     JsonObject members;
     skip_ws();
@@ -282,6 +300,7 @@ class Parser {
   }
 
   Json parse_array() {
+    const Nesting level(*this);
     expect('[');
     JsonArray items;
     skip_ws();
@@ -407,6 +426,7 @@ class Parser {
   }
 
   const std::string& text_;
+  std::size_t depth_ = 0;  ///< open arrays/objects around pos_
   std::size_t pos_ = 0;
 };
 

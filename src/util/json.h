@@ -13,6 +13,7 @@
 // reproducibility guarantee.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -26,6 +27,12 @@ class JsonError : public std::runtime_error {
  public:
   explicit JsonError(const std::string& what) : std::runtime_error(what) {}
 };
+
+/// Deepest array/object nesting Json::parse accepts.  The parser recurses
+/// per level, so the cap keeps a hostile `[[[...` document (a scenario
+/// file, an NDJSON frame) a JsonError instead of a stack overflow; every
+/// document this project reads nests under a dozen levels.
+constexpr std::size_t kMaxJsonDepth = 256;
 
 class Json;
 using JsonArray = std::vector<Json>;
@@ -110,7 +117,8 @@ class Json {
   std::string dump(int indent = -1) const;
 
   /// Parse a complete JSON document; trailing non-whitespace is an error.
-  /// Throws JsonError with 1-based line/column on malformed input.
+  /// Throws JsonError with 1-based line/column on malformed input,
+  /// including nesting deeper than kMaxJsonDepth.
   static Json parse(const std::string& text);
 
  private:

@@ -1,8 +1,8 @@
 // Execution-layer tests.  The load-bearing property is backend
 // equivalence: the same request must produce byte-identical artifacts
-// through LocalExecutor, RemoteExecutor (a real loopback daemon) and
-// ShardedExecutor (shard fan-out + expansion-order merge) — that is what
-// makes the backends composable.  Also covered: shard-summary merge
+// through LocalExecutor and RemoteExecutor (a real loopback daemon) —
+// that is what makes the backends interchangeable (FleetExecutor's legs
+// live in fleet_test).  Also covered: shard-summary merge
 // validation (the `report --merge` path), CampaignSummary round trips,
 // observer streaming and cooperative cancellation.
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "exec/observer.h"
 #include "exec/remote_executor.h"
 #include "exec/request.h"
-#include "exec/sharded_executor.h"
 #include "scenario/campaign.h"
 #include "scenario/scenario.h"
 #include "serve/server.h"
@@ -132,7 +131,7 @@ class ExecServerFixture : public ::testing::Test {
 
 // ------------------------------------------------------ backend equivalence
 
-TEST_F(ExecServerFixture, AllThreeBackendsProduceByteIdenticalSummaries) {
+TEST_F(ExecServerFixture, LocalAndRemoteBackendsAreByteIdentical) {
   const exec::Request request = campaign_request();
 
   exec::LocalExecutor local;
@@ -141,21 +140,11 @@ TEST_F(ExecServerFixture, AllThreeBackendsProduceByteIdenticalSummaries) {
   exec::RemoteExecutor remote("127.0.0.1", server_->port());
   const exec::Outcome via_remote = remote.execute(request);
 
-  std::vector<std::unique_ptr<exec::Executor>> children;
-  children.push_back(std::make_unique<exec::LocalExecutor>());
-  children.push_back(std::make_unique<exec::LocalExecutor>());
-  exec::ShardedExecutor sharded(std::move(children));
-  const exec::Outcome via_sharded = sharded.execute(request);
-
-  const std::string expected = via_local.artifact().dump();
-  EXPECT_EQ(via_remote.artifact().dump(), expected);
-  EXPECT_EQ(via_sharded.artifact().dump(), expected);
+  EXPECT_EQ(via_remote.artifact().dump(), via_local.artifact().dump());
 
   EXPECT_EQ(via_local.backend, "local");
-  EXPECT_EQ(via_sharded.backend, "sharded(2)");
   EXPECT_NE(via_remote.backend.find("remote(127.0.0.1:"), std::string::npos);
-  for (const exec::Outcome* outcome :
-       {&via_local, &via_remote, &via_sharded}) {
+  for (const exec::Outcome* outcome : {&via_local, &via_remote}) {
     EXPECT_EQ(outcome->scenarios_run, 2u);
     EXPECT_TRUE(outcome->ok());
   }
@@ -180,16 +169,10 @@ TEST_F(ExecServerFixture, AnalysisKindsAreByteIdenticalAcrossBackends) {
   exec::RemoteExecutor remote("127.0.0.1", server_->port());
   EXPECT_EQ(remote.execute(crit).artifact().dump(), crit_expected);
 
-  // Binning: a two-cell campaign through all three backends.
+  // Binning: a two-cell campaign through both backends.
   const exec::Request bins = exec::Request::from_json(binning_campaign_doc());
   const std::string bins_expected = local.execute(bins).artifact().dump();
   EXPECT_EQ(remote.execute(bins).artifact().dump(), bins_expected);
-
-  std::vector<std::unique_ptr<exec::Executor>> children;
-  children.push_back(std::make_unique<exec::LocalExecutor>());
-  children.push_back(std::make_unique<exec::LocalExecutor>());
-  exec::ShardedExecutor sharded(std::move(children));
-  EXPECT_EQ(sharded.execute(bins).artifact().dump(), bins_expected);
 
   // The artifacts really are kind-tagged (not silently downgraded).
   const Json summary = Json::parse(bins_expected);
@@ -290,43 +273,6 @@ TEST(RequestValidationTest, RejectsMalformedIndexSelections) {
   good.indices = {0, 1};
   good.validate();
   EXPECT_EQ(good.shard_cells(), 2u);
-}
-
-TEST(ShardedExecutorTest, ScenarioDelegatesAndDoubleShardingIsRejected) {
-  std::vector<std::unique_ptr<exec::Executor>> children;
-  children.push_back(std::make_unique<exec::LocalExecutor>());
-  exec::ShardedExecutor sharded(std::move(children));
-
-  const exec::Request scenario_request =
-      exec::Request::from_json(tiny_scenario_doc());
-  const exec::Outcome outcome = sharded.execute(scenario_request);
-  EXPECT_EQ(outcome.scenarios_run, 1u);
-
-  exec::Request sliced = campaign_request();
-  sliced.shard_index = 1;
-  sliced.shard_count = 2;
-  EXPECT_THROW(sharded.execute(sliced), exec::ExecError);
-
-  EXPECT_THROW(
-      exec::ShardedExecutor(std::vector<std::unique_ptr<exec::Executor>>{}),
-      exec::ExecError);
-}
-
-TEST(ShardedExecutorTest, ChildFailureSurfacesAsTheRootCause) {
-  // An unreachable-daemon stand-in: the failing child aborts immediately,
-  // flips the shared abort flag so the healthy sibling stops early, and
-  // its ExecError — not a reactive CancelledError — must surface.
-  struct FailingExecutor : exec::Executor {
-    exec::Outcome execute(const exec::Request&, exec::Observer*) override {
-      throw exec::ExecError("daemon unreachable");
-    }
-    std::string name() const override { return "failing"; }
-  };
-  std::vector<std::unique_ptr<exec::Executor>> children;
-  children.push_back(std::make_unique<FailingExecutor>());
-  children.push_back(std::make_unique<exec::LocalExecutor>());
-  exec::ShardedExecutor sharded(std::move(children));
-  EXPECT_THROW(sharded.execute(campaign_request()), exec::ExecError);
 }
 
 // ------------------------------------------------------------------- merge

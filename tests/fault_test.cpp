@@ -517,15 +517,7 @@ class ServeFaultFixture : public ::testing::Test {
     server_.reset();
   }
 
-  serve::SubmitOutcome raw(const Json& wire) {
-    return serve::submit_raw("127.0.0.1", port_, wire);
-  }
-
-  Json verb(const std::string& cmd) {
-    Json wire = Json::object();
-    wire.set("cmd", cmd);
-    return raw(wire).final_event;
-  }
+  serve::Client client() const { return {"127.0.0.1", port_}; }
 
   std::unique_ptr<serve::ScenarioServer> server_;
   std::thread thread_;
@@ -535,14 +527,11 @@ class ServeFaultFixture : public ::testing::Test {
 
 TEST_F(ServeFaultFixture, DrainVerbStopsAdmissionFinishesAndExitsCleanly) {
   // Seed one finished job so the restart has something to recover.
-  Json submit = Json::object();
-  submit.set("cmd", "submit");
-  submit.set("doc", tiny_scenario_doc());
-  const Json admitted = raw(submit).final_event;
+  const Json admitted = client().submit(tiny_scenario_doc()).final_event;
   ASSERT_EQ(admitted.at("event").as_string(), "job");
   const std::string id = admitted.at("id").as_string();
 
-  const Json draining = verb("drain");
+  const Json draining = client().drain().final_event;
   ASSERT_EQ(draining.at("event").as_string(), "draining");
   EXPECT_TRUE(draining.at("ok").as_bool());
 
@@ -555,21 +544,15 @@ TEST_F(ServeFaultFixture, DrainVerbStopsAdmissionFinishesAndExitsCleanly) {
   // A restart on the same directory still knows the job, and its attach
   // stream matches a clean direct run byte for byte.
   start_server();
-  Json status = Json::object();
-  status.set("cmd", "status");
-  status.set("id", id);
-  Json frame = raw(status).final_event;
+  Json frame = client().status(id).final_event;
   ASSERT_EQ(frame.at("event").as_string(), "job");
   for (int i = 0; i < 600 && frame.at("state").as_string() != "done"; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    frame = raw(status).final_event;
+    frame = client().status(id).final_event;
   }
   ASSERT_EQ(frame.at("state").as_string(), "done");
 
-  Json attach = Json::object();
-  attach.set("cmd", "attach");
-  attach.set("id", id);
-  const serve::SubmitOutcome stream = raw(attach);
+  const serve::SubmitOutcome stream = client().attach(id);
   ASSERT_TRUE(stream.ok());
   ASSERT_EQ(stream.results.size(), 1u);
   const scenario::ScenarioResult direct = scenario::run_scenario(
@@ -578,30 +561,22 @@ TEST_F(ServeFaultFixture, DrainVerbStopsAdmissionFinishesAndExitsCleanly) {
 }
 
 TEST_F(ServeFaultFixture, PruneVerbDropsTerminalEnvelopes) {
-  Json submit = Json::object();
-  submit.set("cmd", "submit");
-  submit.set("doc", tiny_scenario_doc());
-  const std::string id = raw(submit).final_event.at("id").as_string();
-  Json status = Json::object();
-  status.set("cmd", "status");
-  status.set("id", id);
-  Json frame = raw(status).final_event;
+  const std::string id =
+      client().submit(tiny_scenario_doc()).final_event.at("id").as_string();
+  Json frame = client().status(id).final_event;
   for (int i = 0; i < 600 && frame.at("state").as_string() != "done"; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    frame = raw(status).final_event;
+    frame = client().status(id).final_event;
   }
   ASSERT_EQ(frame.at("state").as_string(), "done");
 
-  Json prune = Json::object();
-  prune.set("cmd", "prune");
-  prune.set("keep", 0);
-  const Json pruned = raw(prune).final_event;
+  const Json pruned = client().prune(0).final_event;
   ASSERT_EQ(pruned.at("event").as_string(), "pruned");
   EXPECT_EQ(pruned.at("removed").as_uint(), 1u);
   EXPECT_EQ(pruned.at("keep").as_uint(), 0u);
 
   // The envelope is gone from memory and disk.
-  EXPECT_EQ(raw(status).final_event.at("event").as_string(), "error");
+  EXPECT_EQ(client().status(id).final_event.at("event").as_string(), "error");
   EXPECT_TRUE(std::filesystem::is_empty(cache_dir_ / "jobs"));
 }
 

@@ -93,23 +93,17 @@ class JobServiceFixture : public ::testing::Test {
     server_.reset();
   }
 
+  serve::Client client() const { return {"127.0.0.1", server_->port()}; }
+
   serve::SubmitOutcome raw(const Json& wire) {
     return serve::submit_raw("127.0.0.1", server_->port(), wire);
   }
 
   /// Detached admission; returns the job frame (or the error frame).
-  Json submit_job(const Json& doc) {
-    Json wire = Json::object();
-    wire.set("cmd", "submit");
-    wire.set("doc", doc);
-    return raw(wire).final_event;
-  }
+  Json submit_job(const Json& doc) { return client().submit(doc).final_event; }
 
   Json job_status(const std::string& id) {
-    Json wire = Json::object();
-    wire.set("cmd", "status");
-    wire.set("id", id);
-    return raw(wire).final_event;
+    return client().status(id).final_event;
   }
 
   Json wait_terminal(const std::string& id) {
@@ -122,10 +116,7 @@ class JobServiceFixture : public ::testing::Test {
   }
 
   serve::SubmitOutcome attach(const std::string& id) {
-    Json wire = Json::object();
-    wire.set("cmd", "attach");
-    wire.set("id", id);
-    return raw(wire);
+    return client().attach(id);
   }
 
   std::unique_ptr<serve::ScenarioServer> server_;
@@ -366,9 +357,7 @@ TEST_F(JobServiceFixture, JobsListKeepsSubmissionOrderAndStatusCounts) {
       submit_job(tiny_campaign_doc()).at("id").as_string();
   ASSERT_NE(first, second);
 
-  Json wire = Json::object();
-  wire.set("cmd", "jobs");
-  const Json listing = raw(wire).final_event;
+  const Json listing = client().jobs().final_event;
   ASSERT_EQ(listing.at("event").as_string(), "jobs");
   const auto& jobs = listing.at("jobs").as_array();
   ASSERT_EQ(jobs.size(), 2u);
@@ -378,9 +367,7 @@ TEST_F(JobServiceFixture, JobsListKeepsSubmissionOrderAndStatusCounts) {
   // The daemon status frame carries per-state job counters.
   (void)wait_terminal(first);
   (void)wait_terminal(second);
-  Json status_wire = Json::object();
-  status_wire.set("cmd", "status");
-  const Json status = raw(status_wire).final_event;
+  const Json status = client().status().final_event;
   ASSERT_EQ(status.at("event").as_string(), "status");
   EXPECT_EQ(status.at("jobs").at("done").as_uint(), 2u);
   EXPECT_EQ(status.at("jobs").at("queued").as_uint(), 0u);

@@ -210,12 +210,9 @@ class ObsServerFixture : public ::testing::Test {
     if (thread_.joinable()) thread_.join();
   }
 
-  Json fetch_metrics(const std::string& format = "") {
-    Json wire = Json::object();
-    wire.set("cmd", "metrics");
-    if (!format.empty()) wire.set("format", format);
+  Json fetch_metrics(bool prometheus = false) {
     const serve::SubmitOutcome outcome =
-        serve::submit_raw("127.0.0.1", server_->port(), wire);
+        serve::Client("127.0.0.1", server_->port()).metrics(prometheus);
     EXPECT_EQ(outcome.final_event.at("event").as_string(), "metrics");
     return outcome.final_event;
   }
@@ -231,12 +228,8 @@ TEST_F(ObsServerFixture, MetricsVerbReflectsCacheAndVerbActivity) {
 
   // Cold sweep computes both cells; the warm repeat is all cache hits.
   const Json doc = tiny_campaign_doc();
-  ASSERT_TRUE(serve::submit_request("127.0.0.1", server_->port(), "sweep",
-                                    doc)
-                  .ok());
-  ASSERT_TRUE(serve::submit_request("127.0.0.1", server_->port(), "sweep",
-                                    doc)
-                  .ok());
+  ASSERT_TRUE(serve::Client("127.0.0.1", server_->port()).sweep(doc).ok());
+  ASSERT_TRUE(serve::Client("127.0.0.1", server_->port()).sweep(doc).ok());
 
   const Json after = fetch_metrics();
   EXPECT_GE(counter_of(after, "clktune_cache_misses_total") -
@@ -270,7 +263,7 @@ TEST_F(ObsServerFixture, MetricsVerbReflectsCacheAndVerbActivity) {
 
 TEST_F(ObsServerFixture, StatusFrameCarriesVersionAndSteadyUptime) {
   const serve::SubmitOutcome status =
-      serve::submit_request("127.0.0.1", server_->port(), "status", Json());
+      serve::Client("127.0.0.1", server_->port()).status();
   EXPECT_EQ(status.final_event.at("event").as_string(), "status");
   EXPECT_EQ(status.final_event.at("version").as_uint(),
             serve::kProtocolVersion);
@@ -279,7 +272,7 @@ TEST_F(ObsServerFixture, StatusFrameCarriesVersionAndSteadyUptime) {
 }
 
 TEST_F(ObsServerFixture, PrometheusFormatReturnsTextExposition) {
-  const Json frame = fetch_metrics("prometheus");
+  const Json frame = fetch_metrics(true);
   EXPECT_EQ(frame.at("format").as_string(), "prometheus");
   const std::string& text = frame.at("text").as_string();
   EXPECT_NE(text.find("# TYPE clktune_serve_requests_total counter"),
@@ -314,8 +307,8 @@ TEST(ObsFleetStatusTest, ProbeAggregatesLiveMembersAndReportsDead) {
   std::thread thread_b([&server_b] { server_b.serve_forever(); });
 
   // Give one member real traffic so the aggregated totals are nonzero.
-  ASSERT_TRUE(serve::submit_request("127.0.0.1", server_a.port(), "sweep",
-                                    tiny_campaign_doc())
+  ASSERT_TRUE(serve::Client("127.0.0.1", server_a.port())
+                  .sweep(tiny_campaign_doc())
                   .ok());
 
   fleet::FleetSpec spec;

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "exec/remote_executor.h"
 #include "scenario/scenario.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -60,8 +63,11 @@ class ServerFixture : public ::testing::Test {
     if (thread_.joinable()) thread_.join();
   }
 
-  serve::SubmitOutcome submit(const std::string& cmd, const Json& doc) {
-    return serve::submit_request("127.0.0.1", server_->port(), cmd, doc);
+  serve::Client client() const { return {"127.0.0.1", server_->port()}; }
+
+  /// A frame no client verb builds (unknown or shutdown commands).
+  serve::SubmitOutcome raw(const char* line) {
+    return serve::submit_raw("127.0.0.1", server_->port(), Json::parse(line));
   }
 
   std::unique_ptr<serve::ScenarioServer> server_;
@@ -70,20 +76,18 @@ class ServerFixture : public ::testing::Test {
 
 TEST_F(ServerFixture, RunMatchesDirectExecutionByteForByte) {
   const Json doc = tiny_scenario_doc();
-  const serve::SubmitOutcome outcome =
-      serve::submit_document("127.0.0.1", server_->port(), doc);
+  const serve::SubmitOutcome outcome = client().run(doc);
   ASSERT_TRUE(outcome.ok());
   ASSERT_EQ(outcome.results.size(), 1u);
   EXPECT_EQ(outcome.cached, 0u);
-  EXPECT_EQ(outcome.targets_missed(), 0u);
+  EXPECT_EQ(outcome.final_event.at("targets_missed").as_uint(), 0u);
 
   const auto spec = scenario::ScenarioSpec::from_json(doc);
   const scenario::ScenarioResult local = scenario::run_scenario(spec, 2);
   EXPECT_EQ(outcome.results[0].dump(), local.to_json().dump());
 
   // The same document again is served from the cache, byte-identically.
-  const serve::SubmitOutcome warm =
-      serve::submit_document("127.0.0.1", server_->port(), doc);
+  const serve::SubmitOutcome warm = client().run(doc);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm.cached, 1u);
   EXPECT_EQ(warm.results[0].dump(), outcome.results[0].dump());
@@ -92,8 +96,8 @@ TEST_F(ServerFixture, RunMatchesDirectExecutionByteForByte) {
 TEST_F(ServerFixture, SweepStreamsOneResultPerCellAndCachesRepeats) {
   const Json doc = tiny_campaign_doc();
   std::size_t result_events = 0;
-  const serve::SubmitOutcome cold = serve::submit_request(
-      "127.0.0.1", server_->port(), "sweep", doc, [&](const Json& event) {
+  const serve::SubmitOutcome cold =
+      client().sweep(doc, {}, [&](const Json& event) {
         result_events += event.at("event").as_string() == "result";
       });
   ASSERT_TRUE(cold.ok());
@@ -105,8 +109,7 @@ TEST_F(ServerFixture, SweepStreamsOneResultPerCellAndCachesRepeats) {
   EXPECT_EQ(cold.results[0].at("setting").as_string(), "muT");
   EXPECT_EQ(cold.results[1].at("setting").as_string(), "muT+s");
 
-  const serve::SubmitOutcome warm =
-      serve::submit_request("127.0.0.1", server_->port(), "sweep", doc);
+  const serve::SubmitOutcome warm = client().sweep(doc);
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(warm.cached, 2u);
   for (std::size_t i = 0; i < 2; ++i)
@@ -114,16 +117,14 @@ TEST_F(ServerFixture, SweepStreamsOneResultPerCellAndCachesRepeats) {
 
   // The base document is not any expanded cell (name suffix, seed stride),
   // so submitting it directly computes fresh under its own content key.
-  const serve::SubmitOutcome run =
-      serve::submit_document("127.0.0.1", server_->port(),
-                             tiny_scenario_doc());
+  const serve::SubmitOutcome run = client().run(tiny_scenario_doc());
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(run.cached, 0u);
 }
 
 TEST_F(ServerFixture, StatusReportsCountersAndCacheStats) {
-  (void)submit("run", tiny_scenario_doc());
-  const serve::SubmitOutcome status = submit("status", Json());
+  (void)client().run(tiny_scenario_doc());
+  const serve::SubmitOutcome status = client().status();
   EXPECT_EQ(status.final_event.at("event").as_string(), "status");
   EXPECT_EQ(status.final_event.at("scenarios_run").as_uint(), 1u);
   EXPECT_GE(status.final_event.at("requests").as_uint(), 2u);
@@ -132,31 +133,38 @@ TEST_F(ServerFixture, StatusReportsCountersAndCacheStats) {
 
 TEST_F(ServerFixture, MalformedAndInvalidRequestsReportErrors) {
   // Unknown command.
-  const serve::SubmitOutcome unknown = submit("frobnicate", Json());
+  const serve::SubmitOutcome unknown = raw(R"({"cmd":"frobnicate"})");
   EXPECT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.final_event.at("event").as_string(), "error");
 
   // Invalid scenario document (typo'd key) — loud, structured error.
   Json bad = tiny_scenario_doc();
   bad.set("numsamples", 5);
-  const serve::SubmitOutcome invalid = submit("run", bad);
+  const serve::SubmitOutcome invalid = client().run(bad);
   EXPECT_FALSE(invalid.ok());
   EXPECT_EQ(invalid.final_event.at("event").as_string(), "error");
   EXPECT_NE(invalid.final_event.at("message").as_string().find("numsamples"),
             std::string::npos);
 
-  // Garbage bytes: an error line comes back and the connection closes.
-  const util::TcpSocket connection =
-      util::tcp_connect("127.0.0.1", server_->port());
-  util::tcp_write_all(connection, "this is not json\n");
-  util::LineReader reader(connection);
-  std::string line;
-  ASSERT_TRUE(reader.read_line(line));
-  EXPECT_EQ(Json::parse(line).at("event").as_string(), "error");
+  // Garbage bytes, and a line nested far past the parser's depth cap
+  // (which would overflow its stack): an error line comes back, the
+  // connection closes, and the daemon keeps serving.
+  for (const std::string& garbage :
+       {std::string("this is not json"),
+        std::string(200000, '[')}) {
+    const util::TcpSocket connection =
+        util::tcp_connect("127.0.0.1", server_->port());
+    util::tcp_write_all(connection, garbage + "\n");
+    util::LineReader reader(connection);
+    std::string line;
+    ASSERT_TRUE(reader.read_line(line));
+    EXPECT_EQ(Json::parse(line).at("event").as_string(), "error");
+  }
+  EXPECT_TRUE(client().status().is("status"));
 }
 
 TEST_F(ServerFixture, ShutdownRequestStopsTheAcceptLoop) {
-  const serve::SubmitOutcome outcome = submit("shutdown", Json());
+  const serve::SubmitOutcome outcome = raw(R"({"cmd":"shutdown"})");
   EXPECT_TRUE(outcome.ok());
   thread_.join();  // serve_forever() must return on its own
 }
@@ -164,12 +172,10 @@ TEST_F(ServerFixture, ShutdownRequestStopsTheAcceptLoop) {
 // -------------------------------------------------- work units ("indices")
 
 TEST_F(ServerFixture, IndicesSweepRunsExactlyTheRequestedCells) {
-  Json wire = Json::object();
-  wire.set("cmd", "sweep");
-  wire.set("doc", tiny_campaign_doc());
-  wire.set("indices", Json(util::JsonArray{Json(1)}));
+  serve::Selection selection;
+  selection.indices = {1};
   const serve::SubmitOutcome unit =
-      serve::submit_raw("127.0.0.1", server_->port(), wire);
+      client().sweep(tiny_campaign_doc(), selection);
   ASSERT_TRUE(unit.ok());
   EXPECT_EQ(unit.final_event.at("scenarios_run").as_uint(), 1u);
   // submit_raw stores results by index, so slot 0 stays empty.
@@ -179,16 +185,15 @@ TEST_F(ServerFixture, IndicesSweepRunsExactlyTheRequestedCells) {
 
   // The same cell through the full sweep is byte-identical — a work unit
   // is just a selection, never a different computation.
-  const serve::SubmitOutcome full = serve::submit_request(
-      "127.0.0.1", server_->port(), "sweep", tiny_campaign_doc());
+  const serve::SubmitOutcome full = client().sweep(tiny_campaign_doc());
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(unit.results[1].dump(), full.results[1].dump());
 
   // Out-of-range and unsorted index lists are structured errors.
-  wire.set("indices", Json(util::JsonArray{Json(7)}));
-  EXPECT_FALSE(serve::submit_raw("127.0.0.1", server_->port(), wire).ok());
-  wire.set("indices", Json(util::JsonArray{Json(1), Json(0)}));
-  EXPECT_FALSE(serve::submit_raw("127.0.0.1", server_->port(), wire).ok());
+  selection.indices = {7};
+  EXPECT_FALSE(client().sweep(tiny_campaign_doc(), selection).ok());
+  selection.indices = {1, 0};
+  EXPECT_FALSE(client().sweep(tiny_campaign_doc(), selection).ok());
 }
 
 // ---------------------------------------------- admission and backpressure
@@ -239,10 +244,8 @@ TEST(ServerBackpressureTest, QueueFullConnectionsGetBusyFrames) {
   serve::SubmitOutcome after;
   bool got_status = false;
   for (int i = 0; i < 200 && !got_status; ++i) {
-    after = serve::submit_request("127.0.0.1", server.port(), "status",
-                                  Json());
-    const Json* event = after.final_event.find("event");
-    got_status = event != nullptr && event->as_string() == "status";
+    after = serve::Client("127.0.0.1", server.port()).status();
+    got_status = after.is("status");
     if (!got_status)
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
@@ -260,7 +263,7 @@ TEST_F(ServerFixture, SlowClientDoesNotBlockOtherConnections) {
   // waiting for the first to finish (the pre-hardening behaviour).
   const util::TcpSocket idle = util::tcp_connect("127.0.0.1",
                                                  server_->port());
-  const serve::SubmitOutcome outcome = submit("run", tiny_scenario_doc());
+  const serve::SubmitOutcome outcome = client().run(tiny_scenario_doc());
   EXPECT_TRUE(outcome.ok());
 }
 
@@ -298,6 +301,102 @@ TEST(ClientTimeoutTest, UnreachableDaemonReportsTheEndpoint) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(std::to_string(port)),
               std::string::npos);
+  }
+}
+
+// -------------------------------------------------------- result assembly
+
+/// A real artifact relabelled per cell, so reordering is observable.
+Json result_frame(std::uint64_t index, const std::string& name = "tiny") {
+  static const Json artifact =
+      scenario::run_scenario(
+          scenario::ScenarioSpec::from_json(tiny_scenario_doc()), 1)
+          .to_json();
+  Json result = artifact;
+  result.set("name", name);
+  Json frame = Json::object();
+  frame.set("event", "result");
+  frame.set("index", index);
+  frame.set("cached", false);
+  frame.set("result", std::move(result));
+  return frame;
+}
+
+TEST(ResultAssemblerTest, OutOfOrderFramesRebuildExpansionOrder) {
+  serve::ResultAssembler cells(3, {});
+  const serve::EventCallback hook = cells.stream("peer");
+  for (const std::uint64_t index : {2u, 0u, 1u})
+    hook(result_frame(index, "cell" + std::to_string(index)));
+  const exec::Outcome outcome =
+      cells.outcome(exec::Request::Kind::campaign, "c", "test", 0.0);
+  ASSERT_EQ(outcome.summary.results.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i)
+    EXPECT_EQ(outcome.summary.results[i].name, "cell" + std::to_string(i));
+}
+
+/// A daemon stand-in: accepts one connection, reads the request line and
+/// answers with canned frames, then closes.
+class FakeDaemon {
+ public:
+  explicit FakeDaemon(std::vector<Json> frames)
+      : listener_(util::tcp_listen(0)),
+        thread_([this, frames = std::move(frames)] {
+          try {
+            const util::TcpSocket peer = util::tcp_accept(listener_);
+            util::LineReader reader(peer);
+            std::string request;
+            if (!reader.read_line(request)) return;
+            for (const Json& frame : frames)
+              util::tcp_write_all(peer, frame.dump(-1) + "\n");
+          } catch (const std::exception&) {
+            // The client aborted the stream, as it should.
+          }
+        }) {}
+  ~FakeDaemon() { thread_.join(); }
+  FakeDaemon(const FakeDaemon&) = delete;
+  FakeDaemon& operator=(const FakeDaemon&) = delete;
+
+  std::uint16_t port() const { return util::tcp_local_port(listener_); }
+
+ private:
+  util::TcpSocket listener_;
+  std::thread thread_;
+};
+
+TEST(ClientFakePeerTest, HostileResultIndicesAreRejectedNamingTheDaemon) {
+  const exec::Request scenario_request =
+      exec::Request::from_json(tiny_scenario_doc());
+  const exec::Request campaign = exec::Request::from_json(tiny_campaign_doc());
+  exec::Request slice = campaign;
+  slice.shard_count = 2;
+  const Json done = Json::parse(
+      R"({"event":"done","ok":true,"scenarios_run":2,"targets_missed":0,)"
+      R"("cached":0})");
+  struct Case {
+    const char* what;
+    const exec::Request& request;
+    std::vector<Json> frames;
+  };
+  const Case cases[] = {
+      // Storing this index would need a 2^60-slot results vector.
+      {"index far past the expansion", scenario_request,
+       {result_frame(std::uint64_t{1} << 60), done}},
+      {"duplicate index", campaign, {result_frame(0), result_frame(0), done}},
+      {"index outside the shard slice", slice, {result_frame(1), done}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    FakeDaemon daemon(c.frames);
+    exec::RemoteExecutor remote("127.0.0.1", daemon.port());
+    try {
+      remote.execute(c.request);
+      ADD_FAILURE() << "expected an ExecError";
+    } catch (const exec::ExecError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "127.0.0.1:" + std::to_string(daemon.port())),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

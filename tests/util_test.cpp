@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "util/histogram.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -214,6 +220,29 @@ TEST(ParallelChunksTest, ZeroItemsIsANoop) {
 TEST(YieldCiTest, ShrinksWithSamples) {
   EXPECT_GT(yield_ci95(0.5, 100), yield_ci95(0.5, 10000));
   EXPECT_EQ(yield_ci95(0.5, 0), 1.0);
+}
+
+TEST(JsonDepthTest, NestingIsCappedWithATypedError) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(Json::parse(nested(kMaxJsonDepth)));
+  EXPECT_THROW(Json::parse(nested(kMaxJsonDepth + 1)), JsonError);
+
+  // The `clktune run <file>` path: a 200 000-deep document is a JsonError
+  // naming the cap, not a stack overflow.
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("clktune_util_test_deep_" + std::to_string(::getpid()) + ".json");
+  std::ofstream(path) << std::string(200000, '[');
+  try {
+    read_json_file(path.string());
+    ADD_FAILURE() << "expected a JsonError";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+              std::string::npos);
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace
