@@ -8,8 +8,8 @@
 //   CLKTUNE_CIRCUITS  comma list to restrict circuits (default: all eight)
 //   CLKTUNE_EVAL_CACHE_MB  total delay-cache budget, MB (default 512,
 //                          split across a bench's simultaneously resident
-//                          caches; oversized circuits fall back to
-//                          streaming)
+//                          caches; samples past a cache's share are
+//                          streamed)
 #pragma once
 
 #include <algorithm>

@@ -39,13 +39,15 @@ struct Partial {
   std::vector<std::uint64_t> arc_after;
   std::vector<std::uint64_t> ff_before;
   std::vector<std::uint64_t> ff_after;
+  std::vector<std::uint64_t> incidence;  ///< failing-arc incidence at x = 0
   std::uint64_t untunable = 0;
 
   Partial(std::size_t num_arcs, std::size_t num_ffs)
       : arc_before(num_arcs, 0),
         arc_after(num_arcs, 0),
         ff_before(num_ffs, 0),
-        ff_after(num_ffs, 0) {}
+        ff_after(num_ffs, 0),
+        incidence(num_ffs, 0) {}
 };
 
 /// Arcs attaining the minimum of `slack` (exact double ties all count).
@@ -191,6 +193,8 @@ CriticalityReport compute_criticality(const ssta::SeqGraph& graph,
 
           const mc::ArcDelaysView view{scratch.dmax.data(),
                                        scratch.dmin.data(), num_arcs};
+          core::add_failing_incidence(graph, view, clock_period_ps,
+                                      p.incidence);
           const std::optional<std::vector<int>> config =
               eval.find_configuration(view);
           if (!config) {
@@ -223,15 +227,10 @@ CriticalityReport compute_criticality(const ssta::SeqGraph& graph,
     for (std::size_t f = 0; f < num_ffs; ++f) {
       total.ff_before[f] += p.ff_before[f];
       total.ff_after[f] += p.ff_after[f];
+      total.incidence[f] += p.incidence[f];
     }
     total.untunable += p.untunable;
   }
-
-  // The baseline's ranking statistic, computed once and shared (same public
-  // function core::top_k_criticality_plan ranks by).
-  const std::vector<std::uint64_t> incidence =
-      core::criticality_incidence(graph, sampler, clock_period_ps, samples,
-                                  threads);
 
   CriticalityReport report;
   report.samples = samples;
@@ -274,7 +273,7 @@ CriticalityReport compute_criticality(const ssta::SeqGraph& graph,
     r.ff = static_cast<int>(f);
     r.binding_before = total.ff_before[f];
     r.binding_after = total.ff_after[f];
-    r.failing_incidence = incidence[f];
+    r.failing_incidence = total.incidence[f];
     r.before = static_cast<double>(r.binding_before) / denom;
     r.after = static_cast<double>(r.binding_after) / denom;
     report.registers.push_back(r);

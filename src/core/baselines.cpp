@@ -8,6 +8,23 @@
 
 namespace clktune::core {
 
+void add_failing_incidence(const ssta::SeqGraph& graph,
+                           const mc::ArcDelaysView& delays,
+                           double clock_period_ps,
+                           std::vector<std::uint64_t>& incidence) {
+  for (std::size_t e = 0; e < graph.arcs.size(); ++e) {
+    const ssta::SeqArc& arc = graph.arcs[e];
+    const auto i = static_cast<std::size_t>(arc.src_ff);
+    const auto j = static_cast<std::size_t>(arc.dst_ff);
+    const double slack = clock_period_ps - graph.setup_ps[j] -
+                         delays.dmax[e] + graph.skew_ps[j] - graph.skew_ps[i];
+    if (slack < 0.0) {
+      ++incidence[i];
+      if (i != j) ++incidence[j];
+    }
+  }
+}
+
 namespace {
 
 /// Shared ranking body: `delays_of(s, scratch)` yields sample s's realised
@@ -26,21 +43,9 @@ std::vector<std::uint64_t> criticality_incidence_impl(
       static_cast<std::size_t>(samples), workers,
       [&](std::size_t w, std::size_t begin, std::size_t end) {
         mc::ArcSample scratch;
-        for (std::size_t s = begin; s < end; ++s) {
-          const mc::ArcDelaysView view = delays_of(s, scratch);
-          for (std::size_t e = 0; e < graph.arcs.size(); ++e) {
-            const ssta::SeqArc& arc = graph.arcs[e];
-            const auto i = static_cast<std::size_t>(arc.src_ff);
-            const auto j = static_cast<std::size_t>(arc.dst_ff);
-            const double slack = clock_period_ps - graph.setup_ps[j] -
-                                 view.dmax[e] + graph.skew_ps[j] -
-                                 graph.skew_ps[i];
-            if (slack < 0.0) {
-              ++partial[w][i];
-              if (i != j) ++partial[w][j];
-            }
-          }
-        }
+        for (std::size_t s = begin; s < end; ++s)
+          add_failing_incidence(graph, delays_of(s, scratch), clock_period_ps,
+                                partial[w]);
       });
 
   std::vector<std::uint64_t> incidence(static_cast<std::size_t>(graph.num_ffs),

@@ -19,6 +19,15 @@
 
 namespace clktune::core {
 
+/// Adds one chip's failing-setup incidence at x = 0 to `incidence` (one
+/// count per flip-flop per failing arc it ends, a self-loop counted once):
+/// the per-sample body of criticality_incidence, shared with callers that
+/// already hold the chip's delays.
+void add_failing_incidence(const ssta::SeqGraph& graph,
+                           const mc::ArcDelaysView& delays,
+                           double clock_period_ps,
+                           std::vector<std::uint64_t>& incidence);
+
 /// Per-flip-flop incidence to failing setup arcs at x = 0 over `samples`
 /// Monte-Carlo chips — the ranking statistic behind top_k_criticality_plan,
 /// exposed so callers that need it more than once (several k values, or the

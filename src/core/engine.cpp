@@ -44,15 +44,18 @@ PassOutput run_pass(const ssta::SeqGraph& graph,
       config.threads <= 0 ? 0 : static_cast<std::size_t>(config.threads));
   std::vector<PhaseDiagnostics> diags(workers);
 
-  // Strided scheduling: failing samples (the expensive ones) cluster, and
-  // interleaving spreads them across workers.  All per-sample outputs are
-  // written to sample-indexed slots, so the result is schedule-independent.
-  // The first pass derives every sample's quantized arc constants (storing
-  // them when the cache fits its byte budget); later passes reuse them —
-  // concurrent fill() calls touch disjoint per-sample slices.
-  util::parallel_strided(
+  // Workers pull the next sample: failing samples (the expensive ones)
+  // cluster, and pulling keeps every worker busy through a burst.  All
+  // per-sample outputs are written to sample-indexed slots and the
+  // diagnostics are integer sums, so the result is schedule-independent.
+  // The first pass derives every sample's quantized arc constants and the
+  // cache keeps the violating ones; later passes skip the rest outright —
+  // a sample without a violated arc has n_k = 0 under any windows, which
+  // is exactly what the defaulted slots already say.
+  util::parallel_pull(
       static_cast<std::size_t>(samples), workers,
       [&](std::size_t w, std::size_t k) {
+        if (!first_pass && !cache.violating(k)) return;
         thread_local mc::ArcConstants scratch;  // per-worker scratch
         thread_local SolveWorkspace ws;
         const mc::ArcConstantsView constants =
@@ -110,7 +113,8 @@ InsertionResult BufferInsertionEngine::run() {
 
   const mc::Sampler sampler(*graph_, config_.sample_seed);
   // All three passes see identical per-sample constants (same sampler, T
-  // and step grid), so step 1 computes them once and steps 2a/2b reuse.
+  // and step grid), so step 1 computes them once and steps 2a/2b reuse the
+  // violating ones.
   mc::SampleConstantCache cache(
       sampler, clock_period_, step_ps_, samples,
       config_.enable_sample_cache ? config_.sample_cache_max_bytes : 0);

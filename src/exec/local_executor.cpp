@@ -1,11 +1,15 @@
 #include "exec/local_executor.h"
 
+#include <algorithm>
 #include <atomic>
+#include <limits>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "cache/result_cache.h"
+#include "netlist/paper_circuits.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
@@ -98,6 +102,24 @@ Outcome execute_scenario(const Request& request, Observer* observer) {
   return outcome;
 }
 
+/// Relative size of a cell, used only to order dispatch: per-sample work
+/// grows with the design's sequential arcs, roughly its flip-flops, times
+/// the samples drawn.  A design read from a file is not sized before it is
+/// built, so it counts as the largest and starts first.
+double cell_size(const scenario::ScenarioSpec& spec) {
+  const scenario::DesignSource& design = spec.design;
+  std::optional<netlist::SyntheticSpec> sized;
+  if (design.kind == scenario::DesignSourceKind::synthetic)
+    sized = design.synthetic;
+  else if (design.kind == scenario::DesignSourceKind::paper_circuit)
+    sized = netlist::paper_circuit_spec(design.paper_circuit);
+  if (!sized) return std::numeric_limits<double>::infinity();
+  const double samples = static_cast<double>(spec.clock.period_samples) +
+                         static_cast<double>(spec.insertion.num_samples) +
+                         static_cast<double>(spec.evaluation.samples);
+  return static_cast<double>(sized->num_flipflops) * samples;
+}
+
 Outcome execute_campaign(const Request& request, Observer* observer) {
   const util::Stopwatch timer;
   std::vector<scenario::ScenarioSpec> all;
@@ -129,37 +151,50 @@ Outcome execute_campaign(const Request& request, Observer* observer) {
   std::vector<char> cached(selected.size(), 0);
 
   // One worker thread per concurrent cell; each cell runs its inner loops
-  // single-threaded so the batch scales with cell count.  Every worker
-  // writes only its own result slots, and slots are ordered by expansion
-  // index, so the summary is independent of scheduling.  Cache hits
-  // substitute a stored artifact for the computation — ScenarioResult JSON
-  // round trips are byte-exact, so the summary bytes cannot tell.
+  // single-threaded so the batch scales with cell count.  Workers pull the
+  // next unstarted cell, largest first: the campaign then ends on small
+  // cells that whichever worker is free picks up, not on one large cell
+  // that a single worker runs while the others wait.  With one worker the
+  // order cannot shorten anything, so cells run in expansion order.  Every
+  // cell writes only its own result slot, and slots are ordered by
+  // expansion index, so the summary is independent of scheduling.  Cache
+  // hits substitute a stored artifact for the computation — ScenarioResult
+  // JSON round trips are byte-exact, so the summary bytes cannot tell.
   const int requested =
       request.threads > 0 ? request.threads : request.campaign.threads;
   const std::size_t workers = util::resolve_thread_count(
       requested <= 0 ? 0 : static_cast<std::size_t>(requested));
+  std::vector<std::size_t> order(selected.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (workers > 1) {
+    std::vector<double> size(selected.size());
+    for (std::size_t i = 0; i < selected.size(); ++i)
+      size[i] = cell_size(all[selected[i]]);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return size[a] > size[b];
+                     });
+  }
   std::atomic<bool> cancel{false};
-  util::parallel_chunks(
-      selected.size(), workers,
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          if (cancel.load(std::memory_order_relaxed)) return;
-          if (observer != nullptr && observer->cancelled()) {
-            cancel.store(true, std::memory_order_relaxed);
-            return;
-          }
-          bool from_cache = false;
-          {
-            const obs::TraceSpan span(
-                obs::trace_enabled() ? "cell:" + all[selected[i]].name
-                                     : std::string());
-            summary.results[i] = run_cell(all[selected[i]], request.cache,
-                                          /*threads=*/1, from_cache);
-          }
-          cached[i] = from_cache ? 1 : 0;
-          notify(observer, selected[i], summary.results[i], from_cache);
-        }
-      });
+  util::parallel_pull(selected.size(), workers, [&](std::size_t,
+                                                    std::size_t next) {
+    const std::size_t i = order[next];
+    if (cancel.load(std::memory_order_relaxed)) return;
+    if (observer != nullptr && observer->cancelled()) {
+      cancel.store(true, std::memory_order_relaxed);
+      return;
+    }
+    bool from_cache = false;
+    {
+      const obs::TraceSpan span(obs::trace_enabled()
+                                    ? "cell:" + all[selected[i]].name
+                                    : std::string());
+      summary.results[i] = run_cell(all[selected[i]], request.cache,
+                                    /*threads=*/1, from_cache);
+    }
+    cached[i] = from_cache ? 1 : 0;
+    notify(observer, selected[i], summary.results[i], from_cache);
+  });
   if (cancel.load())
     throw CancelledError("exec: campaign cancelled by the observer");
 

@@ -39,6 +39,30 @@ struct McMetrics {
 /// steady-clock reads, the rest pay nothing.
 constexpr std::uint64_t kSolveTimingStride = 64;
 
+/// 1 when sample k passes `check`, else 0; every stride-th check is timed.
+template <class Check>
+std::uint64_t count_pass(std::size_t k, McMetrics& metrics,
+                         const Check& check) {
+  if ((k & (kSolveTimingStride - 1)) != 0) return check() ? 1 : 0;
+  const std::uint64_t t0 = obs::steady_now_ns();
+  const bool feasible = check();
+  metrics.solve_seconds.record(obs::steady_now_ns() - t0);
+  return feasible ? 1 : 0;
+}
+
+YieldResult yield_result(const std::vector<std::uint64_t>& passing,
+                         std::uint64_t samples) {
+  YieldResult result;
+  result.samples = samples;
+  for (std::uint64_t p : passing) result.passing += p;
+  result.yield = samples == 0
+                     ? 0.0
+                     : static_cast<double>(result.passing) /
+                           static_cast<double>(samples);
+  result.ci95 = util::yield_ci95(result.yield, samples);
+  return result;
+}
+
 }  // namespace
 
 void YieldEvaluator::add_static_edge(int u, int v, std::int64_t w) {
@@ -224,26 +248,12 @@ YieldResult YieldEvaluator::evaluate(const mc::Sampler& sampler,
       static_cast<std::size_t>(samples), workers,
       [&](std::size_t w, std::size_t begin, std::size_t end) {
         McMetrics& metrics = McMetrics::get();
-        for (std::size_t k = begin; k < end; ++k) {
-          if ((k & (kSolveTimingStride - 1)) == 0) {
-            const std::uint64_t t0 = obs::steady_now_ns();
-            passing[w] += sample_feasible(sampler, k) ? 1 : 0;
-            metrics.solve_seconds.record(obs::steady_now_ns() - t0);
-          } else {
-            passing[w] += sample_feasible(sampler, k) ? 1 : 0;
-          }
-        }
+        for (std::size_t k = begin; k < end; ++k)
+          passing[w] += count_pass(
+              k, metrics, [&] { return sample_feasible(sampler, k); });
         metrics.samples.inc(end - begin);
       });
-  YieldResult result;
-  result.samples = samples;
-  for (std::uint64_t p : passing) result.passing += p;
-  result.yield = samples == 0
-                     ? 0.0
-                     : static_cast<double>(result.passing) /
-                           static_cast<double>(samples);
-  result.ci95 = util::yield_ci95(result.yield, samples);
-  return result;
+  return yield_result(passing, samples);
 }
 
 YieldResult YieldEvaluator::evaluate(mc::SampleDelayCache& delays,
@@ -261,25 +271,12 @@ YieldResult YieldEvaluator::evaluate(mc::SampleDelayCache& delays,
         for (std::size_t k = begin; k < end; ++k) {
           const mc::ArcDelaysView view =
               fill ? delays.fill(k, scratch) : delays.get(k, scratch);
-          if ((k & (kSolveTimingStride - 1)) == 0) {
-            const std::uint64_t t0 = obs::steady_now_ns();
-            passing[w] += sample_feasible(view) ? 1 : 0;
-            metrics.solve_seconds.record(obs::steady_now_ns() - t0);
-          } else {
-            passing[w] += sample_feasible(view) ? 1 : 0;
-          }
+          passing[w] +=
+              count_pass(k, metrics, [&] { return sample_feasible(view); });
         }
         metrics.samples.inc(end - begin);
       });
-  YieldResult result;
-  result.samples = samples;
-  for (std::uint64_t p : passing) result.passing += p;
-  result.yield = samples == 0
-                     ? 0.0
-                     : static_cast<double>(result.passing) /
-                           static_cast<double>(samples);
-  result.ci95 = util::yield_ci95(result.yield, samples);
-  return result;
+  return yield_result(passing, samples);
 }
 
 namespace {
@@ -316,10 +313,36 @@ YieldReport evaluate_yield_report(const ssta::SeqGraph& graph,
   report.clock_period_ps = clock_period_ps;
   report.eval_seed = eval_seed;
   const mc::Sampler sampler(graph, eval_seed);
-  report.original =
-      original_yield(graph, clock_period_ps, sampler, samples, threads);
-  report.tuned = YieldEvaluator(graph, plan, clock_period_ps)
-                     .evaluate(sampler, samples, threads);
+  const YieldEvaluator original(graph, empty_plan(), clock_period_ps);
+  const YieldEvaluator tuned(graph, plan, clock_period_ps);
+
+  // Each chip is drawn once into per-worker scratch, and both evaluators
+  // check that one view: realised delays do not depend on the plan, so Yo
+  // and Y are bit-identical to two separate evaluations over the sampler.
+  const std::size_t workers = util::resolve_thread_count(
+      threads <= 0 ? 0 : static_cast<std::size_t>(threads));
+  std::vector<std::uint64_t> passing_original(workers, 0);
+  std::vector<std::uint64_t> passing_tuned(workers, 0);
+  util::parallel_chunks(
+      static_cast<std::size_t>(samples), workers,
+      [&](std::size_t w, std::size_t begin, std::size_t end) {
+        McMetrics& metrics = McMetrics::get();
+        mc::ArcSample scratch;
+        for (std::size_t k = begin; k < end; ++k) {
+          sampler.evaluate(k, scratch);
+          const mc::ArcDelaysView view{scratch.dmax.data(),
+                                       scratch.dmin.data(),
+                                       graph.arcs.size()};
+          passing_original[w] += count_pass(
+              k, metrics, [&] { return original.sample_feasible(view); });
+          passing_tuned[w] += count_pass(
+              k, metrics, [&] { return tuned.sample_feasible(view); });
+        }
+        // One count per feasibility check, as two evaluations would add.
+        metrics.samples.inc(2 * (end - begin));
+      });
+  report.original = yield_result(passing_original, samples);
+  report.tuned = yield_result(passing_tuned, samples);
   return report;
 }
 

@@ -161,7 +161,9 @@ struct YieldReport {
 };
 
 /// Evaluates original and tuned yield over `samples` fresh Monte-Carlo chips
-/// drawn with `eval_seed`.
+/// drawn with `eval_seed`.  Each chip is drawn once and checked by both
+/// evaluators; the result equals original_yield plus
+/// YieldEvaluator(plan).evaluate over the same sampler.
 YieldReport evaluate_yield_report(const ssta::SeqGraph& graph,
                                   const TuningPlan& plan,
                                   double clock_period_ps,

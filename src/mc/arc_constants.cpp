@@ -24,11 +24,6 @@ std::size_t ConstantCacheTraits::num_arcs() const {
   return sampler->graph().arcs.size();
 }
 
-void ConstantCacheTraits::compute(std::uint64_t k, std::int32_t* setup,
-                                  std::int32_t* hold) const {
-  sampler->evaluate_constants(k, clock_period_ps, step_ps, setup, hold);
-}
-
 ArcConstantsView ConstantCacheTraits::compute_scratch(std::uint64_t k,
                                                       ArcConstants& s) const {
   s.resize(num_arcs());

@@ -9,16 +9,17 @@
 //
 // derived from the realised arc delays by flooring onto the buffer-step
 // grid.  This header centralises that derivation (one quantizer, one
-// epsilon) and provides a cross-pass cache so a sample's constants are
-// computed exactly once per insertion run instead of once per pass.
+// epsilon) and provides a cross-pass cache so a violating sample's
+// constants are computed once per insertion run instead of once per pass.
 //
 // Constants are stored structure-of-arrays as int32 (magnitudes are bounded
 // by clock period / step, a few thousand), halving the footprint of the
-// former int64 representation and keeping a 10k-sample cache line-friendly.
+// former int64 representation.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "mc/sample_cache.h"
@@ -88,6 +89,15 @@ void quantize_arc_constants(const ssta::SeqGraph& graph,
                             const ArcSample& sample, double clock_period_ps,
                             double step_ps, ArcConstants& out);
 
+/// Does any arc of the sample violate its setup or hold constraint at
+/// x = 0?  A sample without one meets timing untouched: the solver returns
+/// n_k = 0 for it under any candidate windows, before building a model.
+inline bool has_violation(const ArcConstantsView& c) {
+  for (std::size_t e = 0; e < c.num_arcs; ++e)
+    if (c.setup_steps[e] < 0 || c.hold_steps[e] < 0) return true;
+  return false;
+}
+
 /// Kernel traits of the cross-pass constant cache (see SampleSliceCache
 /// for the fill/get protocol).  Out-of-line definitions keep Sampler an
 /// incomplete type here.
@@ -101,38 +111,45 @@ struct ConstantCacheTraits {
   double step_ps = 0.0;
 
   std::size_t num_arcs() const;
-  void compute(std::uint64_t k, std::int32_t* setup,
-               std::int32_t* hold) const;
   ArcConstantsView compute_scratch(std::uint64_t k, ArcConstants& s) const;
   ArcConstantsView view(const std::int32_t* setup, const std::int32_t* hold,
                         std::size_t n) const {
     return {setup, hold, n};
   }
+  std::pair<const std::int32_t*, const std::int32_t*> arrays(
+      const ArcConstantsView& v) const {
+    return {v.setup_steps, v.hold_steps};
+  }
+  bool keep(const ArcConstantsView& v) const { return has_violation(v); }
 };
 
 /// Cross-pass sample-constant cache.  The first pass calls fill(k) for every
-/// sample (computing with the fused sampler kernel and storing when the
-/// whole run fits in `max_bytes`); later passes call get(k), which is a
-/// pointer lookup when cached and a recomputation in streaming mode.
+/// sample (computing with the fused sampler kernel); it keeps only the
+/// samples with a violated arc, and stores them while `max_bytes` lasts.
+/// Later passes skip the samples that were not kept (violating(k) is
+/// false: they meet timing under any windows) and call get(k) for the
+/// rest, which is a pointer lookup when stored and a recomputation
+/// otherwise.
 class SampleConstantCache {
  public:
-  /// max_bytes == 0 disables caching outright (always stream).
+  /// max_bytes == 0 disables storing outright (always stream).
   SampleConstantCache(const Sampler& sampler, double clock_period_ps,
                       double step_ps, std::uint64_t samples,
                       std::uint64_t max_bytes);
 
   bool caching() const { return impl_.caching(); }
   std::uint64_t samples() const { return impl_.samples(); }
+  /// Bytes actually stored: one slice per stored violating sample.
   std::uint64_t bytes() const { return impl_.bytes(); }
-  static std::uint64_t required_bytes(std::uint64_t samples,
-                                      std::size_t num_arcs) {
-    return SampleSliceCache<ConstantCacheTraits>::required_bytes(samples,
-                                                                 num_arcs);
+  static std::uint64_t slice_bytes(std::size_t num_arcs) {
+    return SampleSliceCache<ConstantCacheTraits>::slice_bytes(num_arcs);
   }
 
   ArcConstantsView fill(std::uint64_t k, ArcConstants& scratch) {
     return impl_.fill(k, scratch);
   }
+  /// Did filled sample k have a violated arc?
+  bool violating(std::uint64_t k) const { return impl_.kept(k); }
   ArcConstantsView get(std::uint64_t k, ArcConstants& scratch) const {
     return impl_.get(k, scratch);
   }

@@ -8,11 +8,6 @@ std::size_t DelayCacheTraits::num_arcs() const {
   return sampler->graph().arcs.size();
 }
 
-void DelayCacheTraits::compute(std::uint64_t k, double* dmax,
-                               double* dmin) const {
-  sampler->evaluate_into(k, dmax, dmin);
-}
-
 ArcDelaysView DelayCacheTraits::compute_scratch(std::uint64_t k,
                                                 ArcSample& s) const {
   sampler->evaluate(k, s);

@@ -6,11 +6,12 @@
 // sampler (original vs tuned vs baseline yield, or one plan at several
 // clock settings) therefore re-derives identical delays once per
 // evaluation.  This cache stores them once — SoA double arrays, one slice
-// per sample — on the shared SampleSliceCache protocol (byte budget,
-// streaming fallback, per-slot fill tracking).
+// per sample, every sample kept — on the shared SampleSliceCache protocol
+// (byte budget, streaming beyond it, per-slot fill tracking).
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "mc/sample_cache.h"
@@ -37,17 +38,20 @@ struct DelayCacheTraits {
   const Sampler* sampler = nullptr;
 
   std::size_t num_arcs() const;
-  void compute(std::uint64_t k, double* dmax, double* dmin) const;
   ArcDelaysView compute_scratch(std::uint64_t k, ArcSample& s) const;
   ArcDelaysView view(const double* dmax, const double* dmin,
                      std::size_t n) const {
     return {dmax, dmin, n};
   }
+  std::pair<const double*, const double*> arrays(const ArcDelaysView& v) const {
+    return {v.dmax, v.dmin};
+  }
+  bool keep(const ArcDelaysView&) const { return true; }
 };
 
 class SampleDelayCache {
  public:
-  /// max_bytes == 0 disables caching outright (always stream).
+  /// max_bytes == 0 disables storing outright (always stream).
   SampleDelayCache(const Sampler& sampler, std::uint64_t samples,
                    std::uint64_t max_bytes);
 
@@ -60,13 +64,13 @@ class SampleDelayCache {
                                                               num_arcs);
   }
 
-  /// Fill accessor: compute (and store, when caching) sample k.
+  /// Fill accessor: compute (and store, while the budget lasts) sample k.
   ArcDelaysView fill(std::uint64_t k, ArcSample& scratch) {
     return impl_.fill(k, scratch);
   }
-  /// Read accessor: cached delays, or recompute into scratch.  Asserts
-  /// slot k was filled — an unfilled slot holds zero delays, which would
-  /// read as a chip with no path delay at all (a bogus ~100 % pass rate).
+  /// Read accessor: stored delays, or recompute into scratch.  With
+  /// storing on it asserts slot k was filled, so a measurement that reuses
+  /// a cache its fill pass did not cover fails loudly.
   ArcDelaysView get(std::uint64_t k, ArcSample& scratch) const {
     return impl_.get(k, scratch);
   }

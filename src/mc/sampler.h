@@ -42,10 +42,6 @@ class Sampler {
   /// Early delays are clamped to [0, dmax].
   void evaluate(std::uint64_t k, ArcSample& out) const;
 
-  /// Pointer-based evaluate(): writes into caller-owned arrays of
-  /// graph().arcs.size() entries (cache slices, preallocated scratch).
-  void evaluate_into(std::uint64_t k, double* dmax, double* dmin) const;
-
   /// Realised late/early delay of a single arc of sample k, given the
   /// sample's global draws (from globals(k)).  A pure function of
   /// (seed, k, e): evaluating arcs one at a time, in any order or subset,

@@ -73,8 +73,9 @@ SubmitOptions bounded(SubmitOptions options);
 
 /// Sends one request line verbatim and collects the response stream — the
 /// transport under every Client verb.  Throws std::runtime_error on
-/// connection failure or an expired deadline and util::JsonError on a
-/// malformed response line; exceptions from `on_event` propagate (closing
+/// connection failure or an expired deadline, util::JsonError on a
+/// malformed response line and util::LineTooLongError on a response line
+/// over util::kMaxLineBytes; exceptions from `on_event` propagate (closing
 /// the connection), which is how an observer aborts a stream.  `on_event`
 /// sees every frame before it is stored, so a hook that validates
 /// "result" indices bounds what a hostile daemon can make it allocate.

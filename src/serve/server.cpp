@@ -77,9 +77,11 @@ void send_event(const util::TcpSocket& connection, const Json& event) {
   util::tcp_write_all(connection, event.dump(-1) + "\n");
 }
 
-void send_error(const util::TcpSocket& connection, const std::string& what) {
+void send_error(const util::TcpSocket& connection, const std::string& what,
+                const std::string& code = {}) {
   Json event = Json::object();
   event.set("event", "error");
+  if (!code.empty()) event.set("code", code);
   event.set("message", what);
   send_event(connection, event);
 }
@@ -371,6 +373,17 @@ void ScenarioServer::handle_connection(util::TcpSocket connection) {
           break;  // peer gone mid-error: drop the connection
         }
       }
+    }
+  } catch (const util::LineTooLongError& e) {
+    // An over-cap request line: the rest of it is never read, so the
+    // connection cannot be resynchronised.  Answer with a typed error and
+    // close; discarding what is already queued lets the close go out as a
+    // FIN, not a reset that could overtake the answer.
+    try {
+      send_error(connection, e.what(), "line_too_long");
+      util::tcp_drain_pending(connection);
+    } catch (const std::exception&) {
+      // Peer already gone.
     }
   } catch (const std::exception&) {
     // A read failure — recv deadline, a reset mid-frame, an injected

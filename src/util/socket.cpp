@@ -14,6 +14,7 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "fault/fault.h"
 
@@ -221,16 +222,27 @@ void tcp_drain_pending(const TcpSocket& socket) {
 
 bool LineReader::read_line(std::string& line) {
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
+    const std::size_t newline = buffer_.find('\n', scanned_);
+    const std::size_t length =
+        newline == std::string::npos ? buffer_.size() : newline;
+    if (length > kMaxLineBytes) {
+      std::string what = "socket: line longer than ";
+      what += std::to_string(kMaxLineBytes);
+      what += " bytes";
+      throw LineTooLongError(what);
+    }
     if (newline != std::string::npos) {
       line.assign(buffer_, 0, newline);
       buffer_.erase(0, newline + 1);
+      scanned_ = 0;
       return true;
     }
+    scanned_ = buffer_.size();
     if (eof_) {
       if (buffer_.empty()) return false;
       line = std::move(buffer_);
       buffer_.clear();
+      scanned_ = 0;
       return true;
     }
     // Injection: `reset` throws as a mid-stream connection reset, `delay`

@@ -8,7 +8,9 @@
 // dependency.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -68,6 +70,19 @@ void tcp_write_all(const TcpSocket& socket, std::string_view data);
 /// path) must drain first or the client never sees the answer.
 void tcp_drain_pending(const TcpSocket& socket);
 
+/// Longest line LineReader accepts, terminator excluded.  Every protocol
+/// frame is one line (an s38584 result artifact is about 0.25 MB); the cap
+/// bounds what one peer can make the other buffer.
+constexpr std::size_t kMaxLineBytes = std::size_t{32} << 20;
+
+/// A peer sent a line longer than kMaxLineBytes.  The reader stops
+/// buffering at the cap, so the stream is unusable afterwards: the caller
+/// answers (or reports) and closes.
+class LineTooLongError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Buffered reader of '\n'-terminated lines from one socket.
 class LineReader {
  public:
@@ -78,12 +93,14 @@ class LineReader {
   /// socket carries a recv deadline (tcp_set_recv_timeout) and it expires,
   /// throws std::runtime_error("socket: recv() timed out ...") instead of
   /// masquerading as EOF — a stalled daemon must look different from a
-  /// closed connection.
+  /// closed connection.  A line longer than kMaxLineBytes throws
+  /// LineTooLongError once the cap is passed, without reading the rest.
   bool read_line(std::string& line);
 
  private:
   const TcpSocket* socket_;
   std::string buffer_;
+  std::size_t scanned_ = 0;  ///< buffer_ prefix known to hold no '\n'
   bool eof_ = false;
 };
 

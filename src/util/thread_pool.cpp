@@ -1,6 +1,9 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
 
 namespace clktune::util {
 
@@ -10,21 +13,34 @@ std::size_t resolve_thread_count(std::size_t requested) {
   return hw == 0 ? 1 : hw;
 }
 
-void parallel_strided(std::size_t n, std::size_t workers,
-                      const std::function<void(std::size_t, std::size_t)>& fn) {
+void parallel_pull(std::size_t n, std::size_t workers,
+                   const std::function<void(std::size_t, std::size_t)>& fn) {
   workers = std::max<std::size_t>(1, std::min(workers, n == 0 ? 1 : n));
   if (workers == 1) {
     for (std::size_t i = 0; i < n; ++i) fn(0, i);
     return;
   }
+  std::atomic<std::size_t> next{0};
+  std::exception_ptr failure;
+  std::mutex failure_mutex;  // guards failure
   std::vector<std::thread> threads;
   threads.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([&fn, w, n, workers] {
-      for (std::size_t i = w; i < n; i += workers) fn(w, i);
+    threads.emplace_back([&fn, &next, &failure, &failure_mutex, w, n] {
+      try {
+        for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1))
+          fn(w, i);
+      } catch (...) {
+        // Stop handing out indices and report the first failure to the
+        // caller once every worker has finished its current item.
+        next.store(n);
+        const std::lock_guard<std::mutex> lock(failure_mutex);
+        if (!failure) failure = std::current_exception();
+      }
     });
   }
   for (auto& t : threads) t.join();
+  if (failure) std::rethrow_exception(failure);
 }
 
 void parallel_chunks(

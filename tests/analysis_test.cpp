@@ -118,6 +118,29 @@ TEST(CriticalityTest, RankingInvariantsHold) {
   }
 }
 
+// The incidence tallied inside the criticality pass must equal the one
+// core::criticality_incidence computes over the same sampler.
+TEST(CriticalityTest, FailingIncidenceMatchesCoreStatistic) {
+  const Fixture& f = fixture();
+  CriticalityOptions options;
+  options.top_k = 40;
+  const std::uint64_t seed = 91, samples = 500;
+  const CriticalityReport report = compute_criticality(
+      f.graph, f.plan, f.period_mu, seed, samples, options, /*threads=*/3);
+  const mc::Sampler sampler(f.graph, seed);
+  const std::vector<std::uint64_t> incidence = core::criticality_incidence(
+      f.graph, sampler, f.period_mu, samples, /*threads=*/2);
+  ASSERT_FALSE(report.registers.empty());
+  std::uint64_t nonzero = 0;
+  for (const RegisterCriticality& reg : report.registers) {
+    EXPECT_EQ(reg.failing_incidence,
+              incidence[static_cast<std::size_t>(reg.ff)])
+        << "ff " << reg.ff;
+    nonzero += reg.failing_incidence > 0 ? 1 : 0;
+  }
+  EXPECT_GT(nonzero, 0u);
+}
+
 // Satellite: the hoisted core::criticality_incidence must reproduce the
 // exact plan top_k_criticality_plan builds — one statistic, two callers.
 TEST(CriticalityTest, IncidenceAgreesWithBaselinePlan) {

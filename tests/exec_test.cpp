@@ -458,5 +458,31 @@ TEST(ObserverTest, CancellationStopsTheCampaign) {
   EXPECT_EQ(observer.indices.size(), 1u);
 }
 
+TEST(ObserverTest, SeveralWorkersStartTheLargestCellsFirst) {
+  // Expansion order is smallest first.  Two workers take the two largest
+  // cells; the middle one finishes first and cancels, so the smallest
+  // never starts.  Expansion-order dispatch would run cells 0 and 1.
+  struct CancelAfterFirst : RecordingObserver {
+    bool cancelled() override {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      return !indices.empty();
+    }
+  } observer;
+
+  Json doc = tiny_campaign_doc();
+  doc.find("base")->find("design")->find("synthetic")->set("num_gates", 900);
+  Json sweep = Json::object();
+  sweep.set("design.synthetic.num_flipflops",
+            Json(util::JsonArray{Json(20), Json(30), Json(120)}));
+  doc.set("sweep", std::move(sweep));
+  auto spec = scenario::CampaignSpec::from_json(doc);
+  spec.threads = 2;
+  exec::LocalExecutor local;
+  EXPECT_THROW(
+      local.execute(exec::Request::for_campaign(spec), &observer),
+      exec::CancelledError);
+  EXPECT_EQ(observer.indices, (std::set<std::size_t>{1, 2}));
+}
+
 }  // namespace
 }  // namespace clktune

@@ -438,7 +438,11 @@ TEST(WatchdogTest, StalledJobIsRequeuedAndStillFinishes) {
   }})"));
   jobs::JobSchedulerOptions options;
   options.workers = 1;
-  options.threads = 2;
+  // One campaign worker: cells run in order, so the cells after the first
+  // are still unstarted when the delayed checkpoint returns — a second
+  // worker would pull and finish them during the delay, leaving no next
+  // cell at which to observe the stall flag.
+  options.threads = 1;
   options.stall_timeout_ms = 300;
   jobs::JobScheduler scheduler((dir / "jobs").string(), &cache, options);
   scheduler.start();

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "feas/diff_constraints.h"
 #include "feas/tuning_plan.h"
@@ -341,6 +342,50 @@ TEST(YieldEvaluatorTest, EvaluationIsThreadCountInvariant) {
   const feas::YieldResult a = eval.evaluate(sampler, 1500, 1);
   const feas::YieldResult b = eval.evaluate(sampler, 1500, 8);
   EXPECT_EQ(a.passing, b.passing);
+}
+
+// The one-draw report must agree exactly with two separate evaluations over
+// the same sampler, for an empty plan and for a grouped one, at any thread
+// count.
+TEST(YieldReportTest, OneDrawMatchesSeparateEvaluations) {
+  const ssta::SeqGraph& g = test_graph();
+  const std::uint64_t seed = 1234;
+  const std::uint64_t samples = 900;
+  const mc::Sampler sampler(g, seed);
+  const mc::PeriodStats ps = mc::sample_min_period(sampler, 1000);
+
+  TuningPlan empty;
+  empty.step_ps = ps.mu() / 160.0;
+  empty.reset_groups();
+  TuningPlan grouped;
+  grouped.step_ps = ps.mu() / 160.0;
+  grouped.buffers = {BufferWindow{3, -10, 10}, BufferWindow{10, -6, 8},
+                     BufferWindow{17, -8, 4}, BufferWindow{40, 0, 12}};
+  grouped.group_of = {0, 0, 1, 2};
+  grouped.num_groups = 3;
+
+  for (const TuningPlan& plan : {empty, grouped}) {
+    for (const int threads : {1, 3}) {
+      const feas::YieldReport report = feas::evaluate_yield_report(
+          g, plan, ps.mu(), seed, samples, threads);
+      const feas::YieldResult yo =
+          feas::original_yield(g, ps.mu(), sampler, samples, threads);
+      const feas::YieldResult y =
+          YieldEvaluator(g, plan, ps.mu()).evaluate(sampler, samples, threads);
+      SCOPED_TRACE("buffers=" + std::to_string(plan.buffers.size()) +
+                   " threads=" + std::to_string(threads));
+      EXPECT_EQ(report.clock_period_ps, ps.mu());
+      EXPECT_EQ(report.eval_seed, seed);
+      EXPECT_EQ(report.original.passing, yo.passing);
+      EXPECT_EQ(report.original.samples, yo.samples);
+      EXPECT_EQ(report.original.yield, yo.yield);
+      EXPECT_EQ(report.original.ci95, yo.ci95);
+      EXPECT_EQ(report.tuned.passing, y.passing);
+      EXPECT_EQ(report.tuned.samples, y.samples);
+      EXPECT_EQ(report.tuned.yield, y.yield);
+      EXPECT_EQ(report.tuned.ci95, y.ci95);
+    }
+  }
 }
 
 }  // namespace

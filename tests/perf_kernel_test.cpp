@@ -19,6 +19,7 @@
 #include "netlist/nominal_sta.h"
 #include "ssta/seq_graph.h"
 #include "util/alloc_counter.h"
+#include "util/thread_pool.h"
 
 namespace clktune {
 namespace {
@@ -177,10 +178,9 @@ TEST(ArcConstantsTest, ConstantCacheStreamingMatchesCached) {
   mc::SampleConstantCache streaming(sampler, fx.t0, step, n, 0);
   ASSERT_TRUE(cached.caching());
   ASSERT_FALSE(streaming.caching());
-  EXPECT_GT(cached.bytes(), 0u);
-  EXPECT_EQ(streaming.bytes(), 0u);
 
   mc::ArcConstants scratch_a, scratch_b;
+  std::uint64_t violating = 0;
   for (std::uint64_t k = 0; k < n; ++k) {
     const mc::ArcConstantsView a = cached.fill(k, scratch_a);
     const mc::ArcConstantsView b = streaming.fill(k, scratch_b);
@@ -189,7 +189,15 @@ TEST(ArcConstantsTest, ConstantCacheStreamingMatchesCached) {
       ASSERT_EQ(a.setup_steps[e], b.setup_steps[e]);
       ASSERT_EQ(a.hold_steps[e], b.hold_steps[e]);
     }
+    EXPECT_EQ(cached.violating(k), mc::has_violation(a));
+    EXPECT_EQ(streaming.violating(k), cached.violating(k));
+    violating += cached.violating(k) ? 1 : 0;
   }
+  // Only violating samples are stored, each as one slice.
+  EXPECT_GT(violating, 0u);
+  EXPECT_EQ(cached.bytes(),
+            violating * mc::SampleConstantCache::slice_bytes(fx.graph.arcs.size()));
+  EXPECT_EQ(streaming.bytes(), 0u);
   // get() after fill: cached lookups reproduce the stored values.
   for (std::uint64_t k = 0; k < n; ++k) {
     const mc::ArcConstantsView a = cached.get(k, scratch_a);
@@ -221,13 +229,50 @@ TEST(EngineSampleCacheTest, ToggleAndBudgetProduceIdenticalResults) {
   cfg.enable_sample_cache = true;
   cfg.sample_cache_max_bytes = 64;  // forces streaming mode
   core::BufferInsertionEngine streaming(fx.design, fx.graph, t, cfg);
+  const core::InsertionResult streamed = streaming.run();
   const std::string with_streaming =
-      core::insertion_result_json(streaming.run()).dump();
+      core::insertion_result_json(streamed).dump();
+
+  // A budget holding only half of the violating samples: the engine stores
+  // what fits and recomputes the rest.  Fill a cache of the engine's shape
+  // the way step 1 does (concurrently) to check what the budget stores.
+  const mc::Sampler sampler(fx.graph, cfg.sample_seed);
+  const std::uint64_t slice =
+      mc::SampleConstantCache::slice_bytes(fx.graph.arcs.size());
+  std::uint64_t violating = 0;
+  {
+    mc::SampleConstantCache probe(sampler, t, streamed.step_ps,
+                                  cfg.num_samples, 1ull << 30);
+    mc::ArcConstants scratch;
+    for (std::uint64_t k = 0; k < cfg.num_samples; ++k) {
+      probe.fill(k, scratch);
+      violating += probe.violating(k) ? 1 : 0;
+    }
+    EXPECT_EQ(probe.bytes(), violating * slice);
+  }
+  ASSERT_GE(violating, 2u);
+  ASSERT_LT(violating, cfg.num_samples) << "fixture needs passing samples";
+  const std::uint64_t partial_budget = (violating / 2) * slice + slice / 2;
+  {
+    mc::SampleConstantCache partial(sampler, t, streamed.step_ps,
+                                    cfg.num_samples, partial_budget);
+    util::parallel_pull(cfg.num_samples, 4, [&](std::size_t, std::size_t k) {
+      thread_local mc::ArcConstants scratch;
+      partial.fill(k, scratch);
+    });
+    EXPECT_EQ(partial.bytes(), (violating / 2) * slice);
+    EXPECT_LE(partial.bytes(), partial_budget);
+  }
+  cfg.sample_cache_max_bytes = partial_budget;
+  core::BufferInsertionEngine part(fx.design, fx.graph, t, cfg);
+  const std::string with_partial =
+      core::insertion_result_json(part.run()).dump();
 
   // Identical JSON covers plan geometry, per-buffer stats, histograms and
   // the per-phase MILP counters — steps 1/2a/2b behave identically.
   EXPECT_EQ(with_cache, without_cache);
   EXPECT_EQ(with_cache, with_streaming);
+  EXPECT_EQ(with_cache, with_partial);
 }
 
 // ------------------------ delay cache equivalence --------------------------

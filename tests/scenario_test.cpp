@@ -306,11 +306,15 @@ TEST(CampaignTest, EndToEndDeterministicAcrossRunsAndThreadCounts) {
   spec.threads = 1;
   const scenario::CampaignSummary b =
       executor.execute(exec::Request::for_campaign(spec)).summary;
+  spec.threads = 3;  // workers pull cells, so one worker takes two
+  const scenario::CampaignSummary c =
+      executor.execute(exec::Request::for_campaign(spec)).summary;
 
   ASSERT_EQ(a.results.size(), 4u);
   EXPECT_EQ(a.scenarios_run, 4u);
   // Bit-identical artifacts: same bytes regardless of scheduling.
   EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
+  EXPECT_EQ(a.to_json().dump(), c.to_json().dump());
 
   for (const scenario::ScenarioResult& r : a.results) {
     EXPECT_EQ(r.num_flipflops, 30);

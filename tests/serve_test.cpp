@@ -160,6 +160,22 @@ TEST_F(ServerFixture, MalformedAndInvalidRequestsReportErrors) {
     ASSERT_TRUE(reader.read_line(line));
     EXPECT_EQ(Json::parse(line).at("event").as_string(), "error");
   }
+
+  // A line past the length cap: a typed error frame, then the daemon
+  // closes the connection (it never reads the rest of the line).
+  {
+    const util::TcpSocket connection =
+        util::tcp_connect("127.0.0.1", server_->port());
+    util::tcp_write_all(connection,
+                        std::string(util::kMaxLineBytes + 1, 'x') + "\n");
+    util::LineReader reader(connection);
+    std::string line;
+    ASSERT_TRUE(reader.read_line(line));
+    const Json error = Json::parse(line);
+    EXPECT_EQ(error.at("event").as_string(), "error");
+    EXPECT_EQ(error.at("code").as_string(), "line_too_long");
+    EXPECT_FALSE(reader.read_line(line));
+  }
   EXPECT_TRUE(client().status().is("status"));
 }
 
@@ -398,6 +414,15 @@ TEST(ClientFakePeerTest, HostileResultIndicesAreRejectedNamingTheDaemon) {
           << e.what();
     }
   }
+}
+
+TEST(ClientFakePeerTest, OverlongResponseLineIsATypedError) {
+  Json frame = Json::object();
+  frame.set("event", "status");
+  frame.set("pad", std::string(util::kMaxLineBytes, 'x'));
+  FakeDaemon daemon({frame});
+  const serve::Client client("127.0.0.1", daemon.port());
+  EXPECT_THROW(client.status(), util::LineTooLongError);
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -209,6 +211,40 @@ TEST(ParallelChunksTest, WorksWithMoreWorkersThanItems) {
     for (std::size_t i = begin; i < end; ++i) ++hits[i];
   });
   EXPECT_EQ(hits[0] + hits[1] + hits[2], 3);
+}
+
+TEST(ParallelPullTest, VisitsEveryIndexExactlyOnce) {
+  for (const std::size_t n : {0u, 1u, 3u, 1000u}) {
+    for (const std::size_t workers : {1u, 4u, 16u}) {
+      std::vector<std::atomic<int>> hits(n);
+      std::vector<std::atomic<int>> by_worker(workers);
+      parallel_pull(n, workers, [&](std::size_t w, std::size_t i) {
+        ASSERT_LT(w, workers);
+        ASSERT_LT(i, n);
+        hits[i].fetch_add(1);
+        by_worker[w].fetch_add(1);
+      });
+      int total = 0;
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " workers=" << workers
+                                     << " i=" << i;
+      for (const auto& count : by_worker) total += count.load();
+      EXPECT_EQ(total, static_cast<int>(n));
+    }
+  }
+}
+
+TEST(ParallelPullTest, RethrowsTheFirstFailureAfterJoining) {
+  for (const std::size_t workers : {1u, 4u}) {
+    std::atomic<int> visited{0};
+    EXPECT_THROW(parallel_pull(1000, workers,
+                               [&](std::size_t, std::size_t i) {
+                                 visited.fetch_add(1);
+                                 if (i == 10) throw std::runtime_error("x");
+                               }),
+                 std::runtime_error);
+    EXPECT_LT(visited.load(), 1000) << "workers=" << workers;
+  }
 }
 
 TEST(ParallelChunksTest, ZeroItemsIsANoop) {
