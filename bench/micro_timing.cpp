@@ -1,12 +1,13 @@
 // Microbenchmarks of the timing substrate: sequential-graph extraction,
 // per-sample arc evaluation (split and fused-quantizing forms), period
-// Monte-Carlo and yield checking (drawn and cached-delay forms).
+// Monte-Carlo and yield checking (lazily drawn and pre-drawn forms).
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "feas/yield_eval.h"
 #include "gbench_json.h"
 #include "mc/arc_constants.h"
-#include "mc/delay_cache.h"
 #include "mc/period_mc.h"
 #include "mc/sampler.h"
 #include "netlist/generator.h"
@@ -96,19 +97,17 @@ void BM_YieldCheckPerSample(benchmark::State& state) {
 }
 BENCHMARK(BM_YieldCheckPerSample);
 
-// The shared-delay-cache path measurements reuse across evaluations: the
+// The one-draw path measurements take: chips drawn beforehand, so the
 // sampling work is gone, leaving sign tests plus a tiny SPFA.
 void BM_YieldCheckCachedDelays(benchmark::State& state) {
   static const YieldFixture fx;
   const feas::YieldEvaluator eval(fx.graph, fx.plan(), fx.ps.mu());
-  const std::uint64_t window = 512;
-  mc::SampleDelayCache cache(fx.sampler, window, 1ull << 30);
-  mc::ArcSample scratch;
-  for (std::uint64_t k = 0; k < window; ++k) cache.fill(k, scratch);
-  std::uint64_t k = 0;
+  std::vector<mc::ArcSample> window(512);
+  for (std::size_t k = 0; k < window.size(); ++k)
+    fx.sampler.evaluate(k, window[k]);
+  std::size_t k = 0;
   for (auto _ : state) {
-    const mc::ArcDelaysView view = cache.get(k++ % window, scratch);
-    benchmark::DoNotOptimize(eval.sample_feasible(view));
+    benchmark::DoNotOptimize(eval.sample_feasible(window[k++ % window.size()]));
   }
 }
 BENCHMARK(BM_YieldCheckCachedDelays);

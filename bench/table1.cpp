@@ -3,12 +3,14 @@
 // sampling-based insertion flow and reports buffer count Nb, average range
 // Ab (steps), yield Y(%), improvement Yi(%) and runtime T(s), plus the two
 // baselines (top-K symmetric criticality insertion and buffer-everywhere).
+#include <array>
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/baselines.h"
 #include "core/report.h"
+#include "mc/fold.h"
 #include "util/timer.h"
 
 namespace {
@@ -37,79 +39,98 @@ int run() {
     const bench::PreparedCircuit pc = bench::prepare(spec, cfg);
     const mc::Sampler eval_sampler(pc.graph, bench::kEvalSeed);
     const mc::Sampler insert_sampler(pc.graph, 20160314);
-    // Evaluation delays depend only on (seed, sample, arc): one cache
-    // serves all twelve evaluations of this circuit (4 plans x 3 clock
-    // settings), and a second serves the criticality baseline's
-    // insertion-seed delays.  The first use of each fills it.  The pair
-    // shares the CLKTUNE_EVAL_CACHE_MB budget: the high-reuse eval cache
-    // takes exactly what it needs when it fits, the remainder goes to the
-    // insert cache, and the total never exceeds the documented bound.
-    const std::uint64_t total_budget = cfg.eval_cache_bytes();
-    const std::uint64_t eval_need = mc::SampleDelayCache::required_bytes(
-        cfg.eval_samples, pc.graph.arcs.size());
-    const std::uint64_t eval_budget =
-        eval_need <= total_budget ? eval_need : 0;
-    mc::SampleDelayCache eval_delays(eval_sampler, cfg.eval_samples,
-                                     eval_budget);
-    bool fill_delays = true;
-    mc::SampleDelayCache insert_delays(insert_sampler, cfg.samples,
-                                       total_budget - eval_budget);
-    bool fill_insert = true;
+    const int steps = cfg.insertion().steps;
 
+    // The three insertions run first, so that one pass over each sampler
+    // serves all three settings: realised delays depend only on (seed,
+    // sample, arc), never on the clock period or the plan.
+    std::array<double, 3> period{}, runtime{};
+    std::vector<core::InsertionResult> res;
     for (int sigmas = 0; sigmas <= 2; ++sigmas) {
       const double t = pc.setting_period(sigmas);
       util::Stopwatch sw;
       core::BufferInsertionEngine engine(pc.design, pc.graph, t,
                                          cfg.insertion());
-      const core::InsertionResult res = engine.run();
-      const double runtime = sw.seconds();
-      report.count_insertion(res, cfg.samples);
+      res.push_back(engine.run());
+      period[sigmas] = t;
+      runtime[sigmas] = sw.seconds();
+      report.count_insertion(res.back(), cfg.samples);
       report.count_samples(cfg.samples);          // criticality baseline
       report.count_samples(4 * cfg.eval_samples);  // yo / ours / topk / allbuf
+    }
 
-      const feas::YieldResult yo =
-          feas::original_yield(pc.graph, t, eval_delays, cfg.eval_samples,
-                               cfg.threads, fill_delays);
-      fill_delays = false;
-      const feas::YieldEvaluator ours(pc.graph, res.plan, t);
-      const feas::YieldResult y =
-          ours.evaluate(eval_delays, cfg.eval_samples, cfg.threads, false);
+    // Criticality baseline: failing incidence over the insertion chips at
+    // all three periods in one pass, ranked into a top-K plan per setting.
+    using Counts = std::vector<std::uint64_t>;
+    std::array<Counts, 3> incidence;
+    incidence.fill(Counts(static_cast<std::size_t>(pc.graph.num_ffs), 0));
+    const std::vector<std::array<Counts, 3>> incidence_partial =
+        mc::fold_chips(insert_sampler, cfg.samples, cfg.threads, incidence,
+                       [&](std::array<Counts, 3>& acc, std::uint64_t,
+                           const mc::ArcSample& chip) {
+                         for (int s = 0; s < 3; ++s)
+                           core::add_failing_incidence(pc.graph, chip,
+                                                       period[s], acc[s]);
+                       });
+    for (const std::array<Counts, 3>& p : incidence_partial)
+      for (int s = 0; s < 3; ++s)
+        for (std::size_t f = 0; f < incidence[s].size(); ++f)
+          incidence[s][f] += p[s][f];
 
-      const feas::TuningPlan topk = core::top_k_criticality_plan(
-          pc.graph, insert_delays, t, cfg.samples,
-          res.plan.physical_buffers(), cfg.insertion().steps, res.step_ps,
-          cfg.threads, fill_insert);
-      fill_insert = false;
-      const double y_topk =
-          feas::YieldEvaluator(pc.graph, topk, t)
-              .evaluate(eval_delays, cfg.eval_samples, cfg.threads, false)
-              .yield;
-      const feas::TuningPlan allbuf =
-          core::oracle_plan(pc.graph, cfg.insertion().steps, res.step_ps);
-      const double y_all =
-          feas::YieldEvaluator(pc.graph, allbuf, t)
-              .evaluate(eval_delays, cfg.eval_samples, cfg.threads, false)
-              .yield;
+    // Twelve evaluators (no buffers / ours / topK / allbuf at each
+    // setting) check every evaluation chip from one draw.
+    std::vector<feas::YieldEvaluator> evals;
+    evals.reserve(12);
+    for (int s = 0; s < 3; ++s) {
+      const double t = period[s];
+      const double step = res[s].step_ps;
+      evals.emplace_back(pc.graph, feas::empty_plan(), t);
+      evals.emplace_back(pc.graph, res[s].plan, t);
+      evals.emplace_back(pc.graph,
+                         core::plan_from_incidence(
+                             pc.graph, incidence[s],
+                             res[s].plan.physical_buffers(), steps, step),
+                         t);
+      evals.emplace_back(pc.graph, core::oracle_plan(pc.graph, steps, step),
+                         t);
+    }
+    Counts passing(evals.size(), 0);
+    const std::vector<Counts> passing_partial = mc::fold_chips(
+        eval_sampler, cfg.eval_samples, cfg.threads, passing,
+        [&](Counts& acc, std::uint64_t, const mc::ArcSample& chip) {
+          for (std::size_t i = 0; i < evals.size(); ++i)
+            acc[i] += evals[i].sample_feasible(chip) ? 1 : 0;
+        });
+    for (const Counts& p : passing_partial)
+      for (std::size_t i = 0; i < passing.size(); ++i) passing[i] += p[i];
+    const auto yield = [&](int s, int plan) {
+      return feas::yield_of(passing[static_cast<std::size_t>(4 * s + plan)],
+                            cfg.eval_samples)
+          .yield;
+    };
 
+    for (int sigmas = 0; sigmas <= 2; ++sigmas) {
+      const core::InsertionResult& r = res[static_cast<std::size_t>(sigmas)];
       core::TableRow row;
       row.circuit = spec.name;
       row.ns = spec.num_flipflops;
       row.ng = spec.num_gates;
       row.setting = bench::setting_name(sigmas);
-      row.clock_ps = t;
-      row.nb = res.plan.physical_buffers();
-      row.ab = res.plan.average_range();
-      row.yield = 100.0 * y.yield;
-      row.yield_original = 100.0 * yo.yield;
-      row.runtime_s = runtime;
+      row.clock_ps = period[sigmas];
+      row.nb = r.plan.physical_buffers();
+      row.ab = r.plan.average_range();
+      row.yield = 100.0 * yield(sigmas, 1);
+      row.yield_original = 100.0 * yield(sigmas, 0);
+      row.runtime_s = runtime[sigmas];
       rows.push_back(row);
 
       std::printf(
           "%-13s %5d %6d | %7s %9.1f | %3d %6.2f %7.2f %7.2f %8.2f | %7.2f "
           "%7.2f\n",
           spec.name.c_str(), spec.num_flipflops, spec.num_gates,
-          bench::setting_name(sigmas), t, row.nb, row.ab, row.yield,
-          row.improvement(), runtime, 100.0 * y_topk, 100.0 * y_all);
+          bench::setting_name(sigmas), row.clock_ps, row.nb, row.ab,
+          row.yield, row.improvement(), row.runtime_s,
+          100.0 * yield(sigmas, 2), 100.0 * yield(sigmas, 3));
       std::fflush(stdout);
     }
   }

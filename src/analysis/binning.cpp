@@ -3,12 +3,10 @@
 #include <utility>
 
 #include "core/report_json.h"
-#include "mc/delay_cache.h"
+#include "mc/fold.h"
 #include "mc/sampler.h"
 #include "obs/metrics.h"
 #include "util/assert.h"
-#include "util/stats.h"
-#include "util/thread_pool.h"
 
 namespace clktune::analysis {
 
@@ -38,24 +36,6 @@ struct BinningMetrics {
     return m;
   }
 };
-
-feas::TuningPlan empty_plan() {
-  feas::TuningPlan plan;
-  plan.step_ps = 1.0;
-  plan.reset_groups();
-  return plan;
-}
-
-feas::YieldResult make_result(std::uint64_t passing, std::uint64_t samples) {
-  feas::YieldResult r;
-  r.passing = passing;
-  r.samples = samples;
-  r.yield = samples == 0 ? 0.0
-                         : static_cast<double>(passing) /
-                               static_cast<double>(samples);
-  r.ci95 = util::yield_ci95(r.yield, samples);
-  return r;
-}
 
 Json bin_json(const BinYield& bin) {
   Json j = Json::object();
@@ -124,14 +104,8 @@ BinningReport compute_binning(const ssta::SeqGraph& graph,
   original.reserve(rungs);
   for (const double period : periods_ps) {
     tuned.emplace_back(graph, plan, period);
-    original.emplace_back(graph, empty_plan(), period);
+    original.emplace_back(graph, feas::empty_plan(), period);
   }
-
-  const mc::Sampler sampler(graph, eval_seed);
-  // Stream-mode delay cache: the fill protocol computes each chip's delays
-  // exactly once per pass, and there is exactly one pass — every rung reads
-  // the same view.
-  mc::SampleDelayCache delays(sampler, samples, 0);
 
   struct Partial {
     std::vector<std::uint64_t> original_passing;
@@ -144,35 +118,29 @@ BinningReport compute_binning(const ssta::SeqGraph& graph,
           sell(rungs, 0) {}
   };
 
-  const std::size_t workers = util::resolve_thread_count(
-      threads <= 0 ? 0 : static_cast<std::size_t>(threads));
-  std::vector<Partial> partial(workers, Partial(rungs));
-
-  util::parallel_chunks(
-      static_cast<std::size_t>(samples), workers,
-      [&](std::size_t w, std::size_t begin, std::size_t end) {
-        Partial& p = partial[w];
-        mc::ArcSample scratch;
-        for (std::size_t k = begin; k < end; ++k) {
-          const mc::ArcDelaysView view = delays.fill(k, scratch);
-          bool sold = false;
-          for (std::size_t r = 0; r < rungs; ++r) {
-            p.original_passing[r] += original[r].sample_feasible(view) ? 1 : 0;
-            const bool ok = tuned[r].sample_feasible(view);
-            p.tuned_passing[r] += ok ? 1 : 0;
-            if (ok && !sold) {
-              // Ascending ladder: the first feasible rung is the fastest
-              // clock this chip sells at.
-              ++p.sell[r];
-              sold = true;
-            }
+  // Each chip is drawn once — realised delays do not depend on the clock
+  // period — and every rung checks that one draw.
+  const mc::Sampler sampler(graph, eval_seed);
+  const std::vector<Partial> partial = mc::fold_chips(
+      sampler, samples, threads, Partial(rungs),
+      [&](Partial& p, std::uint64_t, const mc::ArcSample& chip) {
+        bool sold = false;
+        for (std::size_t r = 0; r < rungs; ++r) {
+          p.original_passing[r] += original[r].sample_feasible(chip) ? 1 : 0;
+          const bool ok = tuned[r].sample_feasible(chip);
+          p.tuned_passing[r] += ok ? 1 : 0;
+          if (ok && !sold) {
+            // Ascending ladder: the first feasible rung is the fastest
+            // clock this chip sells at.
+            ++p.sell[r];
+            sold = true;
           }
-          if (!sold) ++p.unsellable;
         }
-        BinningMetrics& metrics = BinningMetrics::get();
-        metrics.sampling_passes.inc(end - begin);
-        metrics.rung_evals.inc((end - begin) * rungs * 2);
+        if (!sold) ++p.unsellable;
       });
+  BinningMetrics& metrics = BinningMetrics::get();
+  metrics.sampling_passes.inc(samples);
+  metrics.rung_evals.inc(samples * rungs * 2);
 
   Partial total(rungs);
   for (const Partial& p : partial) {
@@ -197,8 +165,8 @@ BinningReport compute_binning(const ssta::SeqGraph& graph,
   for (std::size_t r = 0; r < rungs; ++r) {
     BinYield bin;
     bin.period_ps = periods_ps[r];
-    bin.original = make_result(total.original_passing[r], samples);
-    bin.tuned = make_result(total.tuned_passing[r], samples);
+    bin.original = feas::yield_of(total.original_passing[r], samples);
+    bin.tuned = feas::yield_of(total.tuned_passing[r], samples);
     bin.sell = total.sell[r];
     bin.sell_fraction = static_cast<double>(bin.sell) / denom;
     sellable += bin.sell;

@@ -8,10 +8,10 @@
 #include "core/baselines.h"
 #include "feas/yield_eval.h"
 #include "mc/arc_constants.h"
+#include "mc/fold.h"
 #include "mc/sampler.h"
 #include "obs/metrics.h"
 #include "util/assert.h"
-#include "util/thread_pool.h"
 
 namespace clktune::analysis {
 
@@ -33,7 +33,8 @@ struct CriticalityMetrics {
 };
 
 /// Per-worker integer tallies; summed in worker order so the totals are
-/// bit-identical regardless of thread count.
+/// bit-identical regardless of thread count.  The scratch members carry no
+/// result, only the worker's buffers from one chip to the next.
 struct Partial {
   std::vector<std::uint64_t> arc_before;
   std::vector<std::uint64_t> arc_after;
@@ -42,12 +43,18 @@ struct Partial {
   std::vector<std::uint64_t> incidence;  ///< failing-arc incidence at x = 0
   std::uint64_t untunable = 0;
 
+  std::vector<double> setup_c, hold_c, slack;  ///< scratch
+  std::vector<int> binding, ffs;               ///< scratch
+
   Partial(std::size_t num_arcs, std::size_t num_ffs)
       : arc_before(num_arcs, 0),
         arc_after(num_arcs, 0),
         ff_before(num_ffs, 0),
         ff_after(num_ffs, 0),
-        incidence(num_ffs, 0) {}
+        incidence(num_ffs, 0),
+        setup_c(num_arcs),
+        hold_c(num_arcs),
+        slack(num_arcs) {}
 };
 
 /// Arcs attaining the minimum of `slack` (exact double ties all count).
@@ -169,54 +176,39 @@ CriticalityReport compute_criticality(const ssta::SeqGraph& graph,
   const feas::YieldEvaluator eval(graph, plan, clock_period_ps);
   const double step = plan.step_ps;
 
-  const std::size_t workers = util::resolve_thread_count(
-      threads <= 0 ? 0 : static_cast<std::size_t>(threads));
-  std::vector<Partial> partial(workers, Partial(num_arcs, num_ffs));
-
-  util::parallel_chunks(
-      static_cast<std::size_t>(samples), workers,
-      [&](std::size_t w, std::size_t begin, std::size_t end) {
-        Partial& p = partial[w];
-        mc::ArcSample scratch;
-        std::vector<double> setup_c(num_arcs), hold_c(num_arcs);
-        std::vector<double> slack(num_arcs);
-        std::vector<int> binding, ffs;
-        for (std::size_t k = begin; k < end; ++k) {
-          sampler.evaluate(k, scratch);
-          for (std::size_t e = 0; e < num_arcs; ++e) {
-            mc::arc_slack(graph, e, scratch.dmax[e], scratch.dmin[e],
-                          clock_period_ps, setup_c[e], hold_c[e]);
-            slack[e] = std::min(setup_c[e], hold_c[e]);
-          }
-          binding_arcs(slack, binding);
-          tally(graph, binding, p.arc_before, p.ff_before, ffs);
-
-          const mc::ArcDelaysView view{scratch.dmax.data(),
-                                       scratch.dmin.data(), num_arcs};
-          core::add_failing_incidence(graph, view, clock_period_ps,
-                                      p.incidence);
-          const std::optional<std::vector<int>> config =
-              eval.find_configuration(view);
-          if (!config) {
-            // Untunable chip: its critical path is the untuned one.
-            ++p.untunable;
-            tally(graph, binding, p.arc_after, p.ff_after, ffs);
-            continue;
-          }
-          for (std::size_t e = 0; e < num_arcs; ++e) {
-            const ssta::SeqArc& arc = graph.arcs[e];
-            const int vi = eval.group_of_ff(arc.src_ff);
-            const int vj = eval.group_of_ff(arc.dst_ff);
-            const int xi = vi < 0 ? 0 : (*config)[static_cast<std::size_t>(vi)];
-            const int xj = vj < 0 ? 0 : (*config)[static_cast<std::size_t>(vj)];
-            slack[e] = std::min(setup_c[e] + step * (xj - xi),
-                                hold_c[e] + step * (xi - xj));
-          }
-          binding_arcs(slack, binding);
-          tally(graph, binding, p.arc_after, p.ff_after, ffs);
+  const std::vector<Partial> partial = mc::fold_chips(
+      sampler, samples, threads, Partial(num_arcs, num_ffs),
+      [&](Partial& p, std::uint64_t, const mc::ArcSample& chip) {
+        for (std::size_t e = 0; e < num_arcs; ++e) {
+          mc::arc_slack(graph, e, chip.dmax[e], chip.dmin[e], clock_period_ps,
+                        p.setup_c[e], p.hold_c[e]);
+          p.slack[e] = std::min(p.setup_c[e], p.hold_c[e]);
         }
-        CriticalityMetrics::get().samples.inc(end - begin);
+        binding_arcs(p.slack, p.binding);
+        tally(graph, p.binding, p.arc_before, p.ff_before, p.ffs);
+
+        core::add_failing_incidence(graph, chip, clock_period_ps, p.incidence);
+        const std::optional<std::vector<int>> config =
+            eval.find_configuration(chip);
+        if (!config) {
+          // Untunable chip: its critical path is the untuned one.
+          ++p.untunable;
+          tally(graph, p.binding, p.arc_after, p.ff_after, p.ffs);
+          return;
+        }
+        for (std::size_t e = 0; e < num_arcs; ++e) {
+          const ssta::SeqArc& arc = graph.arcs[e];
+          const int vi = eval.group_of_ff(arc.src_ff);
+          const int vj = eval.group_of_ff(arc.dst_ff);
+          const int xi = vi < 0 ? 0 : (*config)[static_cast<std::size_t>(vi)];
+          const int xj = vj < 0 ? 0 : (*config)[static_cast<std::size_t>(vj)];
+          p.slack[e] = std::min(p.setup_c[e] + step * (xj - xi),
+                                p.hold_c[e] + step * (xi - xj));
+        }
+        binding_arcs(p.slack, p.binding);
+        tally(graph, p.binding, p.arc_after, p.ff_after, p.ffs);
       });
+  CriticalityMetrics::get().samples.inc(samples);
 
   Partial total(num_arcs, num_ffs);
   for (const Partial& p : partial) {

@@ -4,12 +4,12 @@
 #include <numeric>
 #include <vector>
 
-#include "util/thread_pool.h"
+#include "mc/fold.h"
 
 namespace clktune::core {
 
 void add_failing_incidence(const ssta::SeqGraph& graph,
-                           const mc::ArcDelaysView& delays,
+                           const mc::ArcSample& chip,
                            double clock_period_ps,
                            std::vector<std::uint64_t>& incidence) {
   for (std::size_t e = 0; e < graph.arcs.size(); ++e) {
@@ -17,7 +17,7 @@ void add_failing_incidence(const ssta::SeqGraph& graph,
     const auto i = static_cast<std::size_t>(arc.src_ff);
     const auto j = static_cast<std::size_t>(arc.dst_ff);
     const double slack = clock_period_ps - graph.setup_ps[j] -
-                         delays.dmax[e] + graph.skew_ps[j] - graph.skew_ps[i];
+                         chip.dmax[e] + graph.skew_ps[j] - graph.skew_ps[i];
     if (slack < 0.0) {
       ++incidence[i];
       if (i != j) ++incidence[j];
@@ -25,62 +25,21 @@ void add_failing_incidence(const ssta::SeqGraph& graph,
   }
 }
 
-namespace {
-
-/// Shared ranking body: `delays_of(s, scratch)` yields sample s's realised
-/// delays (drawn directly or through a cache).
-template <class DelaysOf>
-std::vector<std::uint64_t> criticality_incidence_impl(
-    const ssta::SeqGraph& graph, double clock_period_ps,
-    std::uint64_t samples, int threads, const DelaysOf& delays_of) {
-  const std::size_t workers = util::resolve_thread_count(
-      threads <= 0 ? 0 : static_cast<std::size_t>(threads));
-  std::vector<std::vector<std::uint64_t>> partial(
-      workers,
-      std::vector<std::uint64_t>(static_cast<std::size_t>(graph.num_ffs), 0));
-
-  util::parallel_chunks(
-      static_cast<std::size_t>(samples), workers,
-      [&](std::size_t w, std::size_t begin, std::size_t end) {
-        mc::ArcSample scratch;
-        for (std::size_t s = begin; s < end; ++s)
-          add_failing_incidence(graph, delays_of(s, scratch), clock_period_ps,
-                                partial[w]);
-      });
-
-  std::vector<std::uint64_t> incidence(static_cast<std::size_t>(graph.num_ffs),
-                                       0);
-  for (const auto& p : partial)
-    for (std::size_t f = 0; f < incidence.size(); ++f) incidence[f] += p[f];
-  return incidence;
-}
-
-}  // namespace
-
 std::vector<std::uint64_t> criticality_incidence(const ssta::SeqGraph& graph,
                                                  const mc::Sampler& sampler,
                                                  double clock_period_ps,
                                                  std::uint64_t samples,
                                                  int threads) {
-  return criticality_incidence_impl(
-      graph, clock_period_ps, samples, threads,
-      [&](std::size_t s, mc::ArcSample& scratch) {
-        sampler.evaluate(s, scratch);
-        return mc::ArcDelaysView{scratch.dmax.data(), scratch.dmin.data(),
-                                 graph.arcs.size()};
+  using Counts = std::vector<std::uint64_t>;
+  Counts incidence(static_cast<std::size_t>(graph.num_ffs), 0);
+  const std::vector<Counts> partial = mc::fold_chips(
+      sampler, samples, threads, incidence,
+      [&](Counts& acc, std::uint64_t, const mc::ArcSample& chip) {
+        add_failing_incidence(graph, chip, clock_period_ps, acc);
       });
-}
-
-std::vector<std::uint64_t> criticality_incidence(const ssta::SeqGraph& graph,
-                                                 mc::SampleDelayCache& delays,
-                                                 double clock_period_ps,
-                                                 std::uint64_t samples,
-                                                 int threads, bool fill) {
-  return criticality_incidence_impl(
-      graph, clock_period_ps, samples, threads,
-      [&](std::size_t s, mc::ArcSample& scratch) {
-        return fill ? delays.fill(s, scratch) : delays.get(s, scratch);
-      });
+  for (const Counts& p : partial)
+    for (std::size_t f = 0; f < incidence.size(); ++f) incidence[f] += p[f];
+  return incidence;
 }
 
 feas::TuningPlan plan_from_incidence(
@@ -115,19 +74,6 @@ feas::TuningPlan top_k_criticality_plan(const ssta::SeqGraph& graph,
       graph,
       criticality_incidence(graph, sampler, clock_period_ps, samples,
                             threads),
-      k, steps, step_ps);
-}
-
-feas::TuningPlan top_k_criticality_plan(const ssta::SeqGraph& graph,
-                                        mc::SampleDelayCache& delays,
-                                        double clock_period_ps,
-                                        std::uint64_t samples, int k,
-                                        int steps, double step_ps,
-                                        int threads, bool fill) {
-  return plan_from_incidence(
-      graph,
-      criticality_incidence(graph, delays, clock_period_ps, samples, threads,
-                            fill),
       k, steps, step_ps);
 }
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "feas/tuning_plan.h"
-#include "mc/delay_cache.h"
 #include "mc/sampler.h"
 #include "ssta/seq_graph.h"
 
@@ -24,7 +23,7 @@ namespace clktune::core {
 /// the per-sample body of criticality_incidence, shared with callers that
 /// already hold the chip's delays.
 void add_failing_incidence(const ssta::SeqGraph& graph,
-                           const mc::ArcDelaysView& delays,
+                           const mc::ArcSample& chip,
                            double clock_period_ps,
                            std::vector<std::uint64_t>& incidence);
 
@@ -38,14 +37,6 @@ std::vector<std::uint64_t> criticality_incidence(const ssta::SeqGraph& graph,
                                                  double clock_period_ps,
                                                  std::uint64_t samples,
                                                  int threads = 0);
-
-/// Same statistic through a shared delay cache (fill=true computes and
-/// stores the delays; fill=false reuses them).
-std::vector<std::uint64_t> criticality_incidence(const ssta::SeqGraph& graph,
-                                                 mc::SampleDelayCache& delays,
-                                                 double clock_period_ps,
-                                                 std::uint64_t samples,
-                                                 int threads, bool fill);
 
 /// Buffers the top `k` flip-flops of an incidence ranking with symmetric
 /// windows of +-steps/2 (stable order: incidence desc, flip-flop index asc;
@@ -64,16 +55,6 @@ feas::TuningPlan top_k_criticality_plan(const ssta::SeqGraph& graph,
                                         std::uint64_t samples, int k,
                                         int steps, double step_ps,
                                         int threads = 0);
-
-/// Same ranking through a shared delay cache (delays are clock-period
-/// independent, so one cache serves every setting).  fill=true computes
-/// and stores the delays; fill=false reuses them.
-feas::TuningPlan top_k_criticality_plan(const ssta::SeqGraph& graph,
-                                        mc::SampleDelayCache& delays,
-                                        double clock_period_ps,
-                                        std::uint64_t samples, int k,
-                                        int steps, double step_ps,
-                                        int threads, bool fill);
 
 /// Buffers on every flip-flop, symmetric +-steps/2 windows.
 feas::TuningPlan oracle_plan(const ssta::SeqGraph& graph, int steps,

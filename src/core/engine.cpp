@@ -115,9 +115,8 @@ InsertionResult BufferInsertionEngine::run() {
   // All three passes see identical per-sample constants (same sampler, T
   // and step grid), so step 1 computes them once and steps 2a/2b reuse the
   // violating ones.
-  mc::SampleConstantCache cache(
-      sampler, clock_period_, step_ps_, samples,
-      config_.enable_sample_cache ? config_.sample_cache_max_bytes : 0);
+  mc::SampleConstantCache cache(sampler, clock_period_, step_ps_, samples,
+                                config_.sample_cache_max_bytes);
 
   // ------------------- step 1: floating lower bounds ----------------------
   util::Stopwatch sw1;

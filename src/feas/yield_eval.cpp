@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "mc/arc_constants.h"
+#include "mc/fold.h"
 #include "obs/metrics.h"
 #include "util/assert.h"
 #include "util/thread_pool.h"
@@ -12,9 +13,9 @@ namespace clktune::feas {
 
 namespace {
 
-/// MC hot-path metrics.  The evaluate() loops record into these from the
-/// worker threads: one counter add per *chunk* (not per sample) and one
-/// timed solve every 64th sample, so the instrumentation stays strictly
+/// MC hot-path metrics.  The evaluation loops record into these: one
+/// counter add per chunk or per pass (not per sample) and one timed solve
+/// every 64th sample, so the instrumentation stays strictly
 /// bounded — sample_feasible itself is untouched, which is what keeps the
 /// zero-allocation assertions and the perf gate honest.
 struct McMetrics {
@@ -48,19 +49,6 @@ std::uint64_t count_pass(std::size_t k, McMetrics& metrics,
   const bool feasible = check();
   metrics.solve_seconds.record(obs::steady_now_ns() - t0);
   return feasible ? 1 : 0;
-}
-
-YieldResult yield_result(const std::vector<std::uint64_t>& passing,
-                         std::uint64_t samples) {
-  YieldResult result;
-  result.samples = samples;
-  for (std::uint64_t p : passing) result.passing += p;
-  result.yield = samples == 0
-                     ? 0.0
-                     : static_cast<double>(result.passing) /
-                           static_cast<double>(samples);
-  result.ci95 = util::yield_ci95(result.yield, samples);
-  return result;
 }
 
 }  // namespace
@@ -139,13 +127,13 @@ struct SampledDelays {
   }
 };
 
-/// Delay provider reading a precomputed cache slice.
-struct CachedDelays {
-  mc::ArcDelaysView view;
+/// Delay provider reading a chip already drawn.
+struct DrawnDelays {
+  const mc::ArcSample& chip;
 
   void delays(std::size_t e, double& late, double& early) const {
-    late = view.dmax[e];
-    early = view.dmin[e];
+    late = chip.dmax[e];
+    early = chip.dmin[e];
   }
 };
 
@@ -206,9 +194,9 @@ bool YieldEvaluator::sample_feasible(const mc::Sampler& sampler,
   return solve_sample(sampler, k, ws);
 }
 
-bool YieldEvaluator::sample_feasible(const mc::ArcDelaysView& delays) const {
+bool YieldEvaluator::sample_feasible(const mc::ArcSample& chip) const {
   thread_local Workspace ws;
-  return solve_sample_impl(CachedDelays{delays}, ws);
+  return solve_sample_impl(DrawnDelays{chip}, ws);
 }
 
 std::vector<int> YieldEvaluator::config_from_workspace(
@@ -232,9 +220,9 @@ std::optional<std::vector<int>> YieldEvaluator::find_configuration(
 }
 
 std::optional<std::vector<int>> YieldEvaluator::find_configuration(
-    const mc::ArcDelaysView& delays) const {
+    const mc::ArcSample& chip) const {
   thread_local Workspace ws;
-  if (!solve_sample_impl(CachedDelays{delays}, ws)) return std::nullopt;
+  if (!solve_sample_impl(DrawnDelays{chip}, ws)) return std::nullopt;
   return config_from_workspace(ws);
 }
 
@@ -253,33 +241,21 @@ YieldResult YieldEvaluator::evaluate(const mc::Sampler& sampler,
               k, metrics, [&] { return sample_feasible(sampler, k); });
         metrics.samples.inc(end - begin);
       });
-  return yield_result(passing, samples);
+  std::uint64_t total = 0;
+  for (const std::uint64_t p : passing) total += p;
+  return yield_of(total, samples);
 }
 
-YieldResult YieldEvaluator::evaluate(mc::SampleDelayCache& delays,
-                                     std::uint64_t samples, int threads,
-                                     bool fill) const {
-  CLKTUNE_EXPECTS(samples <= delays.samples());
-  const std::size_t workers = util::resolve_thread_count(
-      threads <= 0 ? 0 : static_cast<std::size_t>(threads));
-  std::vector<std::uint64_t> passing(workers, 0);
-  util::parallel_chunks(
-      static_cast<std::size_t>(samples), workers,
-      [&](std::size_t w, std::size_t begin, std::size_t end) {
-        McMetrics& metrics = McMetrics::get();
-        mc::ArcSample scratch;
-        for (std::size_t k = begin; k < end; ++k) {
-          const mc::ArcDelaysView view =
-              fill ? delays.fill(k, scratch) : delays.get(k, scratch);
-          passing[w] +=
-              count_pass(k, metrics, [&] { return sample_feasible(view); });
-        }
-        metrics.samples.inc(end - begin);
-      });
-  return yield_result(passing, samples);
+YieldResult yield_of(std::uint64_t passing, std::uint64_t samples) {
+  YieldResult result;
+  result.samples = samples;
+  result.passing = passing;
+  result.yield = samples == 0 ? 0.0
+                              : static_cast<double>(passing) /
+                                    static_cast<double>(samples);
+  result.ci95 = util::yield_ci95(result.yield, samples);
+  return result;
 }
-
-namespace {
 
 TuningPlan empty_plan() {
   TuningPlan empty;
@@ -288,20 +264,11 @@ TuningPlan empty_plan() {
   return empty;
 }
 
-}  // namespace
-
 YieldResult original_yield(const ssta::SeqGraph& graph, double clock_period_ps,
                            const mc::Sampler& sampler, std::uint64_t samples,
                            int threads) {
   const YieldEvaluator eval(graph, empty_plan(), clock_period_ps);
   return eval.evaluate(sampler, samples, threads);
-}
-
-YieldResult original_yield(const ssta::SeqGraph& graph, double clock_period_ps,
-                           mc::SampleDelayCache& delays,
-                           std::uint64_t samples, int threads, bool fill) {
-  const YieldEvaluator eval(graph, empty_plan(), clock_period_ps);
-  return eval.evaluate(delays, samples, threads, fill);
 }
 
 YieldReport evaluate_yield_report(const ssta::SeqGraph& graph,
@@ -316,33 +283,31 @@ YieldReport evaluate_yield_report(const ssta::SeqGraph& graph,
   const YieldEvaluator original(graph, empty_plan(), clock_period_ps);
   const YieldEvaluator tuned(graph, plan, clock_period_ps);
 
-  // Each chip is drawn once into per-worker scratch, and both evaluators
-  // check that one view: realised delays do not depend on the plan, so Yo
-  // and Y are bit-identical to two separate evaluations over the sampler.
-  const std::size_t workers = util::resolve_thread_count(
-      threads <= 0 ? 0 : static_cast<std::size_t>(threads));
-  std::vector<std::uint64_t> passing_original(workers, 0);
-  std::vector<std::uint64_t> passing_tuned(workers, 0);
-  util::parallel_chunks(
-      static_cast<std::size_t>(samples), workers,
-      [&](std::size_t w, std::size_t begin, std::size_t end) {
-        McMetrics& metrics = McMetrics::get();
-        mc::ArcSample scratch;
-        for (std::size_t k = begin; k < end; ++k) {
-          sampler.evaluate(k, scratch);
-          const mc::ArcDelaysView view{scratch.dmax.data(),
-                                       scratch.dmin.data(),
-                                       graph.arcs.size()};
-          passing_original[w] += count_pass(
-              k, metrics, [&] { return original.sample_feasible(view); });
-          passing_tuned[w] += count_pass(
-              k, metrics, [&] { return tuned.sample_feasible(view); });
-        }
-        // One count per feasibility check, as two evaluations would add.
-        metrics.samples.inc(2 * (end - begin));
+  // Each chip is drawn once and both evaluators check that draw: realised
+  // delays do not depend on the plan, so Yo and Y are bit-identical to two
+  // separate evaluations over the sampler.
+  struct Passing {
+    std::uint64_t original = 0;
+    std::uint64_t tuned = 0;
+  };
+  McMetrics& metrics = McMetrics::get();
+  const std::vector<Passing> partial = mc::fold_chips(
+      sampler, samples, threads, Passing{},
+      [&](Passing& acc, std::uint64_t k, const mc::ArcSample& chip) {
+        acc.original += count_pass(
+            k, metrics, [&] { return original.sample_feasible(chip); });
+        acc.tuned += count_pass(
+            k, metrics, [&] { return tuned.sample_feasible(chip); });
       });
-  report.original = yield_result(passing_original, samples);
-  report.tuned = yield_result(passing_tuned, samples);
+  Passing total;
+  for (const Passing& p : partial) {
+    total.original += p.original;
+    total.tuned += p.tuned;
+  }
+  // One count per feasibility check, as two evaluations would add.
+  metrics.samples.inc(2 * samples);
+  report.original = yield_of(total.original, samples);
+  report.tuned = yield_of(total.tuned, samples);
   return report;
 }
 

@@ -28,7 +28,6 @@
 
 #include "feas/spfa.h"
 #include "feas/tuning_plan.h"
-#include "mc/delay_cache.h"
 #include "mc/sampler.h"
 #include "ssta/seq_graph.h"
 #include "util/stats.h"
@@ -51,8 +50,8 @@ class YieldEvaluator {
   /// Zero heap allocations in steady state (per-thread workspace).
   bool sample_feasible(const mc::Sampler& sampler, std::uint64_t k) const;
 
-  /// Same question over precomputed delays (a delay-cache slice).
-  bool sample_feasible(const mc::ArcDelaysView& delays) const;
+  /// Same question over a chip already drawn (the one-draw measurements).
+  bool sample_feasible(const mc::ArcSample& chip) const;
 
   /// Buffer configuration (delay steps per physical group) for sample k, or
   /// nullopt when the chip cannot be rescued.  This is the post-silicon
@@ -60,11 +59,11 @@ class YieldEvaluator {
   std::optional<std::vector<int>> find_configuration(
       const mc::Sampler& sampler, std::uint64_t k) const;
 
-  /// Same question over precomputed delays (a delay-cache slice), so a
-  /// caller that already materialised a sample's delays — the criticality
-  /// engine visits every arc anyway — does not pay a second sampling pass.
+  /// Same question over a chip already drawn, so a caller that
+  /// materialised its delays — the criticality engine visits every arc
+  /// anyway — does not pay a second sampling pass.
   std::optional<std::vector<int>> find_configuration(
-      const mc::ArcDelaysView& delays) const;
+      const mc::ArcSample& chip) const;
 
   /// Group variable of flip-flop `ff` under the plan's grouping; -1 when
   /// the flip-flop carries no tuning buffer.  Configurations returned by
@@ -73,16 +72,12 @@ class YieldEvaluator {
     return var_of_ff_[static_cast<std::size_t>(ff)];
   }
 
-  /// Yield over `samples` Monte-Carlo chips.
+  /// Yield over `samples` Monte-Carlo chips, each drawn arc by arc only
+  /// as far as its check needs (a failing chip exits early).  A
+  /// measurement that checks several plans or periods draws each chip once
+  /// through mc::fold_chips instead.
   YieldResult evaluate(const mc::Sampler& sampler, std::uint64_t samples,
                        int threads = 0) const;
-
-  /// Yield through a shared delay cache: with fill=true this evaluation
-  /// computes (and stores) every sample's delays; with fill=false it reuses
-  /// them, skipping the sampling work entirely when the cache is resident.
-  /// Results are bit-identical to the plain overload.
-  YieldResult evaluate(mc::SampleDelayCache& delays, std::uint64_t samples,
-                       int threads, bool fill) const;
 
   const TuningPlan& plan() const { return plan_; }
   double clock_period_ps() const { return clock_period_; }
@@ -142,10 +137,11 @@ YieldResult original_yield(const ssta::SeqGraph& graph, double clock_period_ps,
                            const mc::Sampler& sampler, std::uint64_t samples,
                            int threads = 0);
 
-/// original_yield through a shared delay cache (see YieldEvaluator).
-YieldResult original_yield(const ssta::SeqGraph& graph, double clock_period_ps,
-                           mc::SampleDelayCache& delays,
-                           std::uint64_t samples, int threads, bool fill);
+/// The result of `passing` feasible chips out of `samples`.
+YieldResult yield_of(std::uint64_t passing, std::uint64_t samples);
+
+/// The plan with no buffers: its evaluator measures the original yield.
+TuningPlan empty_plan();
 
 /// Before/after yield measurement of a tuning plan at one clock period,
 /// evaluated out-of-sample (its own seed): the paper's Yo, Y and Yi columns

@@ -17,12 +17,12 @@
 // former int64 representation.
 #pragma once
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <utility>
+#include <memory>
 #include <vector>
 
-#include "mc/sample_cache.h"
 #include "ssta/seq_graph.h"
 
 namespace clktune::mc {
@@ -98,38 +98,22 @@ inline bool has_violation(const ArcConstantsView& c) {
   return false;
 }
 
-/// Kernel traits of the cross-pass constant cache (see SampleSliceCache
-/// for the fill/get protocol).  Out-of-line definitions keep Sampler an
-/// incomplete type here.
-struct ConstantCacheTraits {
-  using Elem = std::int32_t;
-  using View = ArcConstantsView;
-  using Scratch = ArcConstants;
-
-  const Sampler* sampler = nullptr;
-  double clock_period_ps = 0.0;
-  double step_ps = 0.0;
-
-  std::size_t num_arcs() const;
-  ArcConstantsView compute_scratch(std::uint64_t k, ArcConstants& s) const;
-  ArcConstantsView view(const std::int32_t* setup, const std::int32_t* hold,
-                        std::size_t n) const {
-    return {setup, hold, n};
-  }
-  std::pair<const std::int32_t*, const std::int32_t*> arrays(
-      const ArcConstantsView& v) const {
-    return {v.setup_steps, v.hold_steps};
-  }
-  bool keep(const ArcConstantsView& v) const { return has_violation(v); }
-};
-
 /// Cross-pass sample-constant cache.  The first pass calls fill(k) for every
 /// sample (computing with the fused sampler kernel); it keeps only the
-/// samples with a violated arc, and stores them while `max_bytes` lasts.
-/// Later passes skip the samples that were not kept (violating(k) is
-/// false: they meet timing under any windows) and call get(k) for the
-/// rest, which is a pointer lookup when stored and a recomputation
-/// otherwise.
+/// samples with a violated arc — the only ones a later pass solves — and
+/// stores them while `max_bytes` lasts.  Later passes skip the samples that
+/// were not kept (violating(k) is false: they meet timing under any
+/// windows) and call get(k) for the rest, which is a pointer lookup when
+/// stored and a recomputation into the caller's scratch otherwise
+/// (streaming).  Recomputed and stored constants are bit-identical, so
+/// which samples fit cannot change a result.
+///
+/// Stored samples are packed into one block reserved up front for as many
+/// slices as the budget holds (or every sample, if fewer).  The block is
+/// not initialised, so only the pages of stored slices become resident,
+/// and it is released whole with the cache instead of as thousands of
+/// small blocks that a worker thread's allocator arena may keep for
+/// whichever thread uses that arena next.
 class SampleConstantCache {
  public:
   /// max_bytes == 0 disables storing outright (always stream).
@@ -137,25 +121,51 @@ class SampleConstantCache {
                       double step_ps, std::uint64_t samples,
                       std::uint64_t max_bytes);
 
-  bool caching() const { return impl_.caching(); }
-  std::uint64_t samples() const { return impl_.samples(); }
-  /// Bytes actually stored: one slice per stored violating sample.
-  std::uint64_t bytes() const { return impl_.bytes(); }
+  bool caching() const { return max_bytes_ > 0; }
+  /// Bytes actually stored: one slice per stored violating sample (never
+  /// above the budget).
+  std::uint64_t bytes() const { return stored_bytes_.load(); }
+  /// Footprint of one stored sample.
   static std::uint64_t slice_bytes(std::size_t num_arcs) {
-    return SampleSliceCache<ConstantCacheTraits>::slice_bytes(num_arcs);
+    return 2ull * sizeof(std::int32_t) * num_arcs;
   }
 
-  ArcConstantsView fill(std::uint64_t k, ArcConstants& scratch) {
-    return impl_.fill(k, scratch);
-  }
-  /// Did filled sample k have a violated arc?
-  bool violating(std::uint64_t k) const { return impl_.kept(k); }
-  ArcConstantsView get(std::uint64_t k, ArcConstants& scratch) const {
-    return impl_.get(k, scratch);
-  }
+  /// Computes sample k, and stores it when it has a violated arc and the
+  /// budget still has room.  May be called concurrently for distinct k —
+  /// each writes its own slot, and the budget is claimed atomically.
+  ArcConstantsView fill(std::uint64_t k, ArcConstants& scratch);
+  /// Did filled sample k have a violated arc?  Asserts the slot was filled.
+  bool violating(std::uint64_t k) const;
+  /// The stored constants, or a recomputation into scratch.  With storing
+  /// on it asserts slot k was filled (the fill pass's thread join orders
+  /// the slot write before this read) — reading a sample the fill pass
+  /// never saw means the passes disagree on what they cover.
+  ArcConstantsView get(std::uint64_t k, ArcConstants& scratch) const;
 
  private:
-  SampleSliceCache<ConstantCacheTraits> impl_;
+  static constexpr char kUnfilled = 0;
+  static constexpr char kSkipped = 1;  ///< filled, no violated arc
+  static constexpr char kKept = 2;     ///< filled, stored or streamed
+
+  ArcConstantsView compute(std::uint64_t k, ArcConstants& scratch) const;
+  /// Slices the store has room for: what the budget holds, at most one
+  /// per sample.
+  std::uint64_t store_slices() const;
+  /// Claims the next free slice of the store; null once it is full.
+  std::int32_t* claim_slice();
+
+  const Sampler* sampler_;
+  double clock_period_ps_;
+  double step_ps_;
+  std::uint64_t samples_;
+  std::size_t num_arcs_;
+  std::uint64_t max_bytes_;
+  std::uint64_t capacity_bytes_;  ///< bytes of the store
+  std::atomic<std::uint64_t> stored_bytes_{0};
+  std::vector<char> state_;  ///< per-sample fill state
+  /// Per-sample slice (setup then hold) inside store_, null when not stored.
+  std::vector<const std::int32_t*> slices_;
+  std::unique_ptr<std::int32_t[]> store_;  ///< stored slices, claim order
 };
 
 }  // namespace clktune::mc

@@ -3,16 +3,18 @@
 #include <algorithm>
 #include <vector>
 
-#include "util/thread_pool.h"
+#include "mc/fold.h"
 
 namespace clktune::mc {
 
-double sample_period(const Sampler&, const ArcSample& arc_sample,
-                     const ssta::SeqGraph& graph) {
+namespace {
+
+/// Minimum setup-limited period of one chip at zero tuning.
+double chip_period(const ssta::SeqGraph& graph, const ArcSample& chip) {
   double period = 0.0;
   for (std::size_t e = 0; e < graph.arcs.size(); ++e) {
     const ssta::SeqArc& arc = graph.arcs[e];
-    const double t = arc_sample.dmax[e] +
+    const double t = chip.dmax[e] +
                      graph.setup_ps[static_cast<std::size_t>(arc.dst_ff)] +
                      graph.skew_ps[static_cast<std::size_t>(arc.src_ff)] -
                      graph.skew_ps[static_cast<std::size_t>(arc.dst_ff)];
@@ -21,34 +23,30 @@ double sample_period(const Sampler&, const ArcSample& arc_sample,
   return period;
 }
 
+/// Does any arc of the chip violate hold at zero tuning?
+bool chip_hold_fails(const ssta::SeqGraph& graph, const ArcSample& chip) {
+  for (std::size_t e = 0; e < graph.arcs.size(); ++e) {
+    const ssta::SeqArc& arc = graph.arcs[e];
+    const double margin =
+        chip.dmin[e] - graph.hold_ps[static_cast<std::size_t>(arc.dst_ff)] -
+        graph.skew_ps[static_cast<std::size_t>(arc.dst_ff)] +
+        graph.skew_ps[static_cast<std::size_t>(arc.src_ff)];
+    if (margin < 0.0) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 PeriodStats sample_min_period(const Sampler& sampler, std::uint64_t samples,
                               int threads) {
   const ssta::SeqGraph& graph = sampler.graph();
-  const std::size_t workers = util::resolve_thread_count(
-      threads <= 0 ? 0 : static_cast<std::size_t>(threads));
-  std::vector<PeriodStats> partial(workers);
-
-  util::parallel_chunks(
-      static_cast<std::size_t>(samples), workers,
-      [&](std::size_t w, std::size_t begin, std::size_t end) {
-        ArcSample arc_sample;
-        PeriodStats& acc = partial[w];
-        for (std::size_t k = begin; k < end; ++k) {
-          sampler.evaluate(k, arc_sample);
-          acc.period.add(sample_period(sampler, arc_sample, graph));
-          bool hold_fail = false;
-          for (std::size_t e = 0; e < graph.arcs.size() && !hold_fail; ++e) {
-            const ssta::SeqArc& arc = graph.arcs[e];
-            const double margin =
-                arc_sample.dmin[e] -
-                graph.hold_ps[static_cast<std::size_t>(arc.dst_ff)] -
-                graph.skew_ps[static_cast<std::size_t>(arc.dst_ff)] +
-                graph.skew_ps[static_cast<std::size_t>(arc.src_ff)];
-            hold_fail = margin < 0.0;
-          }
-          acc.hold_failures += hold_fail ? 1 : 0;
-          ++acc.samples;
-        }
+  const std::vector<PeriodStats> partial = fold_chips(
+      sampler, samples, threads, PeriodStats{},
+      [&](PeriodStats& acc, std::uint64_t, const ArcSample& chip) {
+        acc.period.add(chip_period(graph, chip));
+        acc.hold_failures += chip_hold_fails(graph, chip) ? 1 : 0;
+        ++acc.samples;
       });
 
   PeriodStats total;

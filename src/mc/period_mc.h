@@ -26,8 +26,4 @@ struct PeriodStats {
 PeriodStats sample_min_period(const Sampler& sampler, std::uint64_t samples,
                               int threads = 0);
 
-/// Per-sample minimum period (helper shared with benches/tests).
-double sample_period(const Sampler& sampler, const ArcSample& arcs,
-                     const ssta::SeqGraph& graph);
-
 }  // namespace clktune::mc

@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "feas/diff_constraints.h"
 #include "feas/tuning_plan.h"
 #include "feas/yield_eval.h"
+#include "mc/fold.h"
 #include "mc/period_mc.h"
 #include "mc/sampler.h"
 #include "netlist/generator.h"
 #include "ssta/seq_graph.h"
+#include "util/thread_pool.h"
 
 namespace clktune {
 namespace {
@@ -104,6 +108,41 @@ TEST(PeriodMcTest, ThreadCountDoesNotChangeResult) {
   EXPECT_NEAR(seq.sigma(), par.sigma(), 1e-9);
 }
 
+// The period MC merges one OnlineStats per chunk, and the Chan merge rounds
+// differently for different partitions: pin mu and sigma bitwise to a hand
+// merge over util::parallel_chunks' contiguous chunks.
+TEST(PeriodMcTest, MergesChunkStatsInChunkOrder) {
+  const ssta::SeqGraph& g = test_graph();
+  const mc::Sampler sampler(g, 33);
+  const std::size_t n = 1000;
+  for (const std::size_t threads : {1u, 2u, 3u}) {
+    const std::size_t chunk = (n + threads - 1) / threads;
+    util::OnlineStats expect;
+    mc::ArcSample chip;
+    for (std::size_t begin = 0; begin < n; begin += chunk) {
+      util::OnlineStats part;
+      for (std::size_t k = begin; k < std::min(n, begin + chunk); ++k) {
+        sampler.evaluate(k, chip);
+        double period = 0.0;
+        for (std::size_t e = 0; e < g.arcs.size(); ++e) {
+          const auto i = static_cast<std::size_t>(g.arcs[e].src_ff);
+          const auto j = static_cast<std::size_t>(g.arcs[e].dst_ff);
+          period = std::max(period, chip.dmax[e] + g.setup_ps[j] +
+                                        g.skew_ps[i] - g.skew_ps[j]);
+        }
+        part.add(period);
+      }
+      expect.merge(part);
+    }
+    const mc::PeriodStats got =
+        mc::sample_min_period(sampler, n, static_cast<int>(threads));
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_EQ(got.samples, n);
+    EXPECT_EQ(got.mu(), expect.mean());
+    EXPECT_EQ(got.sigma(), expect.stddev());
+  }
+}
+
 TEST(PeriodMcTest, OriginalYieldAtDerivedPeriods) {
   // By construction of muT/sigmaT, the no-buffer yields at muT, +1s, +2s
   // are ~50 %, ~84 %, ~97.7 % (paper, Section IV).
@@ -122,6 +161,35 @@ TEST(PeriodMcTest, OriginalYieldAtDerivedPeriods) {
     const feas::YieldResult y =
         feas::original_yield(test_graph(), c.period, sampler, 6000);
     EXPECT_NEAR(y.yield, c.expect, c.tol) << "T=" << c.period;
+  }
+}
+
+// ------------------------------ chip fold ---------------------------------
+
+TEST(FoldChipsTest, VisitsEachChipOnceInParallelChunksOrder) {
+  const mc::Sampler sampler(test_graph(), 77);
+  for (const std::size_t n : {0u, 1u, 3u, 1000u}) {
+    for (const std::size_t threads : {1u, 4u, 16u}) {
+      // Each accumulator records the chips it saw, in visit order.
+      const std::vector<std::vector<std::uint64_t>> acc = mc::fold_chips(
+          sampler, n, static_cast<int>(threads), std::vector<std::uint64_t>{},
+          [&](std::vector<std::uint64_t>& seen, std::uint64_t k,
+              const mc::ArcSample& chip) {
+            mc::ArcSample fresh;
+            sampler.evaluate(k, fresh);
+            EXPECT_EQ(chip.dmax, fresh.dmax);
+            EXPECT_EQ(chip.dmin, fresh.dmin);
+            seen.push_back(k);
+          });
+      std::vector<std::vector<std::uint64_t>> chunks(threads);
+      util::parallel_chunks(
+          n, threads, [&](std::size_t w, std::size_t begin, std::size_t end) {
+            for (std::size_t k = begin; k < end; ++k) chunks[w].push_back(k);
+          });
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " threads=" + std::to_string(threads));
+      EXPECT_EQ(acc, chunks);
+    }
   }
 }
 

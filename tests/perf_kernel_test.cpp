@@ -1,6 +1,6 @@
 // Tests for the zero-allocation sample kernel and cross-pass constant
 // reuse: DiffConstraints workspace semantics, the shared quantizer, the
-// engine's sample-constant cache toggle, and steady-state allocation
+// engine's sample-constant cache budget, and steady-state allocation
 // counts in the Monte-Carlo inner loops.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "feas/diff_constraints.h"
 #include "feas/yield_eval.h"
 #include "mc/arc_constants.h"
-#include "mc/delay_cache.h"
 #include "mc/sampler.h"
 #include "netlist/generator.h"
 #include "netlist/nominal_sta.h"
@@ -207,7 +206,7 @@ TEST(ArcConstantsTest, ConstantCacheStreamingMatchesCached) {
   }
 }
 
-// ------------------------ engine cache toggle ------------------------------
+// ------------------------ engine cache budget ------------------------------
 
 TEST(EngineSampleCacheTest, ToggleAndBudgetProduceIdenticalResults) {
   const KernelFixture fx(80, 600, 4242);
@@ -216,17 +215,15 @@ TEST(EngineSampleCacheTest, ToggleAndBudgetProduceIdenticalResults) {
   core::InsertionConfig cfg;
   cfg.num_samples = 200;
 
-  cfg.enable_sample_cache = true;
   core::BufferInsertionEngine cached(fx.design, fx.graph, t, cfg);
   const std::string with_cache =
       core::insertion_result_json(cached.run()).dump();
 
-  cfg.enable_sample_cache = false;  // --no-sample-cache
+  cfg.sample_cache_max_bytes = 0;  // stores nothing
   core::BufferInsertionEngine uncached(fx.design, fx.graph, t, cfg);
   const std::string without_cache =
       core::insertion_result_json(uncached.run()).dump();
 
-  cfg.enable_sample_cache = true;
   cfg.sample_cache_max_bytes = 64;  // forces streaming mode
   core::BufferInsertionEngine streaming(fx.design, fx.graph, t, cfg);
   const core::InsertionResult streamed = streaming.run();
@@ -273,42 +270,6 @@ TEST(EngineSampleCacheTest, ToggleAndBudgetProduceIdenticalResults) {
   EXPECT_EQ(with_cache, without_cache);
   EXPECT_EQ(with_cache, with_streaming);
   EXPECT_EQ(with_cache, with_partial);
-}
-
-// ------------------------ delay cache equivalence --------------------------
-
-TEST(DelayCacheTest, CachedEvaluationMatchesDirectEvaluation) {
-  const KernelFixture fx;
-  const mc::Sampler sampler(fx.graph, 555);
-  const double t = fx.t0;
-  const std::uint64_t n = 400;
-
-  feas::TuningPlan plan;
-  plan.step_ps = t / 160.0;
-  for (int f = 0; f < fx.graph.num_ffs; f += 10)
-    plan.buffers.push_back(feas::BufferWindow{f, -10, 10});
-  plan.reset_groups();
-  const feas::YieldEvaluator eval(fx.graph, plan, t);
-
-  const feas::YieldResult direct = eval.evaluate(sampler, n, 1);
-
-  mc::SampleDelayCache cache(sampler, n, 1ull << 30);
-  ASSERT_TRUE(cache.caching());
-  const feas::YieldResult filled = eval.evaluate(cache, n, 1, true);
-  const feas::YieldResult reused = eval.evaluate(cache, n, 1, false);
-
-  mc::SampleDelayCache streaming(sampler, n, 0);
-  const feas::YieldResult streamed = eval.evaluate(streaming, n, 1, false);
-
-  EXPECT_EQ(direct.passing, filled.passing);
-  EXPECT_EQ(direct.passing, reused.passing);
-  EXPECT_EQ(direct.passing, streamed.passing);
-
-  const feas::YieldResult yo_direct =
-      feas::original_yield(fx.graph, t, sampler, n, 1);
-  const feas::YieldResult yo_cached =
-      feas::original_yield(fx.graph, t, cache, n, 1, false);
-  EXPECT_EQ(yo_direct.passing, yo_cached.passing);
 }
 
 // ----------------------- zero-allocation guarantees ------------------------
