@@ -17,9 +17,11 @@ int run() {
       util::env_string("CLKTUNE_CONV_CIRCUIT", "s9234"));
   const bench::PreparedCircuit pc = bench::prepare(spec, cfg);
   const double t = pc.setting_period(0);
-  const mc::Sampler eval(pc.graph, bench::kEvalSeed);
-  const feas::YieldResult yo = feas::original_yield(
-      pc.graph, t, eval, cfg.eval_samples, cfg.threads);
+  const feas::YieldResult yo =
+      feas::evaluate_yield_report(pc.graph, feas::empty_plan(), t,
+                                  bench::kEvalSeed, cfg.eval_samples,
+                                  cfg.threads)
+          .original;
 
   std::printf("sample-count convergence on %s at T=%.1f ps (Yo=%.2f%%)\n\n",
               spec.name.c_str(), t, 100.0 * yo.yield);
@@ -36,9 +38,10 @@ int run() {
     const double secs = sw.seconds();
     report.count_insertion(res, n);
     report.count_samples(cfg.eval_samples);
-    const feas::YieldResult y = feas::YieldEvaluator(pc.graph, res.plan, t)
-                                    .evaluate(eval, cfg.eval_samples,
-                                              cfg.threads);
+    const feas::YieldResult y =
+        feas::evaluate_yield_report(pc.graph, res.plan, t, bench::kEvalSeed,
+                                    cfg.eval_samples, cfg.threads)
+            .tuned;
     std::printf("%8llu %4d %7.2f %8.2f %8.2f %9.2f\n",
                 static_cast<unsigned long long>(n),
                 res.plan.physical_buffers(), res.plan.average_range(),

@@ -22,7 +22,6 @@ int run() {
       util::env_string("CLKTUNE_ABLATION_CIRCUIT", "s13207"));
   const bench::PreparedCircuit pc = bench::prepare(spec, cfg);
   const double t = pc.setting_period(0);
-  const mc::Sampler eval(pc.graph, bench::kEvalSeed);
 
   const Variant variants[] = {
       {"full flow", [](core::InsertionConfig&) {}},
@@ -43,8 +42,11 @@ int run() {
               static_cast<unsigned long long>(cfg.samples));
   std::printf("%-22s %4s %7s %8s %8s %9s\n", "variant", "Nb", "Ab", "Y(%)",
               "Yi(%)", "time(s)");
-  const feas::YieldResult yo = feas::original_yield(
-      pc.graph, t, eval, cfg.eval_samples, cfg.threads);
+  const feas::YieldResult yo =
+      feas::evaluate_yield_report(pc.graph, feas::empty_plan(), t,
+                                  bench::kEvalSeed, cfg.eval_samples,
+                                  cfg.threads)
+          .original;
   for (const Variant& v : variants) {
     core::InsertionConfig ic = cfg.insertion();
     v.tweak(ic);
@@ -54,9 +56,10 @@ int run() {
     const double secs = sw.seconds();
     report.count_insertion(res, ic.num_samples);
     report.count_samples(cfg.eval_samples);
-    const feas::YieldResult y = feas::YieldEvaluator(pc.graph, res.plan, t)
-                                    .evaluate(eval, cfg.eval_samples,
-                                              cfg.threads);
+    const feas::YieldResult y =
+        feas::evaluate_yield_report(pc.graph, res.plan, t, bench::kEvalSeed,
+                                    cfg.eval_samples, cfg.threads)
+            .tuned;
     std::printf("%-22s %4d %7.2f %8.2f %8.2f %9.2f\n", v.name,
                 res.plan.physical_buffers(), res.plan.average_range(),
                 100.0 * y.yield, 100.0 * (y.yield - yo.yield), secs);

@@ -72,16 +72,15 @@ int run() {
               res.plan.physical_buffers());
 
   // Yield with vs without sharing.
-  const mc::Sampler eval(pc.graph, bench::kEvalSeed);
   feas::TuningPlan ungrouped = res.plan;
   ungrouped.reset_groups();
-  const double y_grouped = feas::YieldEvaluator(pc.graph, res.plan, t)
-                               .evaluate(eval, cfg.eval_samples, cfg.threads)
-                               .yield;
-  const double y_ungrouped =
-      feas::YieldEvaluator(pc.graph, ungrouped, t)
-          .evaluate(eval, cfg.eval_samples, cfg.threads)
-          .yield;
+  const auto tuned_yield = [&](const feas::TuningPlan& plan) {
+    return feas::evaluate_yield_report(pc.graph, plan, t, bench::kEvalSeed,
+                                       cfg.eval_samples, cfg.threads)
+        .tuned.yield;
+  };
+  const double y_grouped = tuned_yield(res.plan);
+  const double y_ungrouped = tuned_yield(ungrouped);
   std::printf(
       "\nyield with individual buffers: %.2f%%, with shared (grouped) "
       "buffers: %.2f%% (cost %.2f%%)\n",

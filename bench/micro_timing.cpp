@@ -71,6 +71,23 @@ void BM_FusedConstantEvaluation(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedConstantEvaluation);
 
+// The screen insertion step 1 runs before the fused kernel: one hash and a
+// bracket per arc, a full draw only where the bracket cannot decide.
+void BM_ScreenedViolationCheck(benchmark::State& state) {
+  static const netlist::Design design = make_design(500, 4000);
+  static const ssta::SeqGraph graph = ssta::extract_seq_graph(design);
+  const mc::Sampler sampler(graph, 3);
+  const mc::PeriodStats ps = mc::sample_min_period(sampler, 200);
+  const double t = ps.mu() + 2.0 * ps.sigma();
+  std::uint64_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sampler.has_violation(k++, t, ps.mu() / 160.0));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(graph.arcs.size()));
+}
+BENCHMARK(BM_ScreenedViolationCheck);
+
 struct YieldFixture {
   const netlist::Design design = make_design(500, 4000);
   const ssta::SeqGraph graph = ssta::extract_seq_graph(design);
@@ -87,27 +104,33 @@ struct YieldFixture {
   }
 };
 
-void BM_YieldCheckPerSample(benchmark::State& state) {
+// The per-chip path every measurement takes: open the chip lazily and check
+// it, so only the arcs whose bounds leave a sign undecided are drawn.
+void BM_YieldCheckPerChip(benchmark::State& state) {
   static const YieldFixture fx;
   const feas::YieldEvaluator eval(fx.graph, fx.plan(), fx.ps.mu());
+  mc::ChipScratch scratch;
   std::uint64_t k = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(eval.sample_feasible(fx.sampler, k++));
+    benchmark::DoNotOptimize(
+        eval.sample_feasible(scratch.open(fx.sampler, k++)));
   }
 }
-BENCHMARK(BM_YieldCheckPerSample);
+BENCHMARK(BM_YieldCheckPerChip);
 
-// The one-draw path measurements take: chips drawn beforehand, so the
-// sampling work is gone, leaving sign tests plus a tiny SPFA.
+// The same check on a chip whose arcs are all drawn already (as after the
+// first of several evaluators), leaving sign tests plus a tiny SPFA.
 void BM_YieldCheckCachedDelays(benchmark::State& state) {
   static const YieldFixture fx;
   const feas::YieldEvaluator eval(fx.graph, fx.plan(), fx.ps.mu());
-  std::vector<mc::ArcSample> window(512);
-  for (std::size_t k = 0; k < window.size(); ++k)
-    fx.sampler.evaluate(k, window[k]);
-  std::size_t k = 0;
+  mc::ChipScratch scratch;
+  const mc::ChipView chip = scratch.open(fx.sampler, 0);
+  for (std::size_t e = 0; e < fx.graph.arcs.size(); ++e) {
+    double late = 0.0, early = 0.0;
+    chip.delays(e, late, early);
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(eval.sample_feasible(window[k++ % window.size()]));
+    benchmark::DoNotOptimize(eval.sample_feasible(chip));
   }
 }
 BENCHMARK(BM_YieldCheckCachedDelays);
@@ -116,5 +139,5 @@ BENCHMARK(BM_YieldCheckCachedDelays);
 
 int main(int argc, char** argv) {
   return clktune::bench::run_micro_benchmarks(argc, argv, "micro_timing",
-                                              "BM_YieldCheckPerSample");
+                                              "BM_YieldCheckPerChip");
 }

@@ -67,7 +67,7 @@ int run() {
     const std::vector<std::array<Counts, 3>> incidence_partial =
         mc::fold_chips(insert_sampler, cfg.samples, cfg.threads, incidence,
                        [&](std::array<Counts, 3>& acc, std::uint64_t,
-                           const mc::ArcSample& chip) {
+                           const mc::ChipView& chip) {
                          for (int s = 0; s < 3; ++s)
                            core::add_failing_incidence(pc.graph, chip,
                                                        period[s], acc[s]);
@@ -97,7 +97,7 @@ int run() {
     Counts passing(evals.size(), 0);
     const std::vector<Counts> passing_partial = mc::fold_chips(
         eval_sampler, cfg.eval_samples, cfg.threads, passing,
-        [&](Counts& acc, std::uint64_t, const mc::ArcSample& chip) {
+        [&](Counts& acc, std::uint64_t, const mc::ChipView& chip) {
           for (std::size_t i = 0; i < evals.size(); ++i)
             acc[i] += evals[i].sample_feasible(chip) ? 1 : 0;
         });

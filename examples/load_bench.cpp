@@ -47,11 +47,10 @@ int main(int argc, char** argv) {
   core::BufferInsertionEngine engine(design, graph, t, config);
   const core::InsertionResult res = engine.run();
 
-  const mc::Sampler eval(graph, 777);
-  const double before = feas::original_yield(graph, t, eval, 5000).yield;
-  const double after = feas::YieldEvaluator(graph, res.plan, t)
-                           .evaluate(eval, 5000)
-                           .yield;
+  const feas::YieldReport yield =
+      feas::evaluate_yield_report(graph, res.plan, t, /*eval_seed=*/777, 5000);
+  const double before = yield.original.yield;
+  const double after = yield.tuned.yield;
   std::printf("T=%.1f ps: yield %.2f%% -> %.2f%% with %d buffers\n", t,
               100.0 * before, 100.0 * after, res.plan.physical_buffers());
   for (const core::BufferInfo& b : res.buffers)

@@ -35,9 +35,11 @@ int main() {
   // Manufacturing + test: fresh chips, separate randomness from insertion.
   const mc::Sampler fab(graph, 0xFAB);
   const feas::YieldEvaluator tester(graph, res.plan, t);
+  mc::ChipScratch scratch;
   int passed_untuned = 0, rescued = 0, dead = 0;
   for (std::uint64_t chip = 0; chip < 24; ++chip) {
-    const auto config_steps = tester.find_configuration(fab, chip);
+    const auto config_steps =
+        tester.find_configuration(scratch.open(fab, chip));
     if (!config_steps.has_value()) {
       std::printf("chip %2llu: DEAD (beyond tuning reach)\n",
                   static_cast<unsigned long long>(chip));

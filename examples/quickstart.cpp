@@ -49,13 +49,10 @@ int main() {
                 static_cast<unsigned long long>(b.usage_final), b.group);
 
   // 5. Yield before vs after, on fresh evaluation samples.
-  const mc::Sampler eval(graph, /*seed=*/424242);
-  const feas::YieldResult before =
-      feas::original_yield(graph, target, eval, 5000);
-  const feas::YieldEvaluator evaluator(graph, result.plan, target);
-  const feas::YieldResult after = evaluator.evaluate(eval, 5000);
+  const feas::YieldReport yield = feas::evaluate_yield_report(
+      graph, result.plan, target, /*eval_seed=*/424242, 5000);
   std::printf("yield at T=%.1f ps: %.2f%% -> %.2f%% (+%.2f%%)\n", target,
-              100.0 * before.yield, 100.0 * after.yield,
-              100.0 * (after.yield - before.yield));
+              100.0 * yield.original.yield, 100.0 * yield.tuned.yield,
+              100.0 * yield.improvement());
   return 0;
 }

@@ -68,11 +68,11 @@ int main() try {
     const ssta::SeqGraph graph = ssta::extract_seq_graph(design);
     const feas::TuningPlan all = core::oracle_plan(
         graph, specs[i].insertion.steps, r.insertion.step_ps);
-    const mc::Sampler eval(graph, specs[i].evaluation.seed);
     const double everyff =
-        feas::YieldEvaluator(graph, all, r.clock_period_ps)
-            .evaluate(eval, specs[i].evaluation.samples)
-            .yield;
+        feas::evaluate_yield_report(graph, all, r.clock_period_ps,
+                                    specs[i].evaluation.seed,
+                                    specs[i].evaluation.samples)
+            .tuned.yield;
 
     std::printf("%9s  %8.1f  %8.2f  %8.2f  %8.2f  %3d\n", r.setting.c_str(),
                 r.clock_period_ps, 100.0 * r.yield.original.yield,

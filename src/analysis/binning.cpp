@@ -118,12 +118,13 @@ BinningReport compute_binning(const ssta::SeqGraph& graph,
           sell(rungs, 0) {}
   };
 
-  // Each chip is drawn once — realised delays do not depend on the clock
-  // period — and every rung checks that one draw.
+  // Each chip is opened once — realised delays do not depend on the clock
+  // period — and every rung checks that one view, which bounds or draws
+  // each arc at most once for all of them.
   const mc::Sampler sampler(graph, eval_seed);
   const std::vector<Partial> partial = mc::fold_chips(
       sampler, samples, threads, Partial(rungs),
-      [&](Partial& p, std::uint64_t, const mc::ArcSample& chip) {
+      [&](Partial& p, std::uint64_t, const mc::ChipView& chip) {
         bool sold = false;
         for (std::size_t r = 0; r < rungs; ++r) {
           p.original_passing[r] += original[r].sample_feasible(chip) ? 1 : 0;

@@ -43,8 +43,8 @@ struct Partial {
   std::vector<std::uint64_t> incidence;  ///< failing-arc incidence at x = 0
   std::uint64_t untunable = 0;
 
-  std::vector<double> setup_c, hold_c, slack;  ///< scratch
-  std::vector<int> binding, ffs;               ///< scratch
+  std::vector<double> lower, slack;  ///< scratch
+  std::vector<int> binding, ffs;     ///< scratch
 
   Partial(std::size_t num_arcs, std::size_t num_ffs)
       : arc_before(num_arcs, 0),
@@ -52,13 +52,12 @@ struct Partial {
         ff_before(num_ffs, 0),
         ff_after(num_ffs, 0),
         incidence(num_ffs, 0),
-        setup_c(num_arcs),
-        hold_c(num_arcs),
+        lower(num_arcs),
         slack(num_arcs) {}
 };
 
 /// Arcs attaining the minimum of `slack` (exact double ties all count).
-void binding_arcs(const std::vector<double>& slack, std::vector<int>& out) {
+void min_arcs(const std::vector<double>& slack, std::vector<int>& out) {
   out.clear();
   double best = std::numeric_limits<double>::infinity();
   for (std::size_t e = 0; e < slack.size(); ++e) {
@@ -70,6 +69,46 @@ void binding_arcs(const std::vector<double>& slack, std::vector<int>& out) {
       out.push_back(static_cast<int>(e));
     }
   }
+}
+
+/// Binding arcs of one chip: those attaining its minimum slack, where
+/// slack(e, late, early) is arc e's slack given its delays — the smaller of
+/// its setup and hold slack, each plus a fixed shift, so it falls as the
+/// late delay grows and rises with the early delay.
+///
+/// Only arcs that can attain the minimum are drawn.  Every arc's slack lies
+/// in [slack(late_hi, early_lo), slack(late_lo, early_hi)], so the minimum
+/// is at most the smallest upper end (and at most any one exact slack), and
+/// an arc whose lower end exceeds that cap can neither attain the minimum
+/// nor tie it.
+template <class Slack>
+void binding_arcs(const mc::ChipView& chip, const Slack& slack, Partial& p) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double cap = kInf;
+  std::size_t lowest = 0;
+  for (std::size_t e = 0; e < p.slack.size(); ++e) {
+    const mc::DelayBounds b = chip.bounds(e);
+    p.lower[e] = slack(e, b.late_hi, b.early_lo);
+    cap = std::min(cap, slack(e, b.late_lo, b.early_hi));
+    if (p.lower[e] < p.lower[lowest]) lowest = e;
+  }
+  // The arc with the lowest lower end most likely attains the minimum: its
+  // exact slack is a tighter cap than any upper end.
+  if (!p.slack.empty()) {
+    double late = 0.0, early = 0.0;
+    chip.delays(lowest, late, early);
+    cap = std::min(cap, slack(lowest, late, early));
+  }
+  for (std::size_t e = 0; e < p.slack.size(); ++e) {
+    if (p.lower[e] > cap) {
+      p.slack[e] = kInf;
+      continue;
+    }
+    double late = 0.0, early = 0.0;
+    chip.delays(e, late, early);
+    p.slack[e] = slack(e, late, early);
+  }
+  min_arcs(p.slack, p.binding);
 }
 
 /// Counts the binding arcs and their endpoint registers (each register at
@@ -178,13 +217,16 @@ CriticalityReport compute_criticality(const ssta::SeqGraph& graph,
 
   const std::vector<Partial> partial = mc::fold_chips(
       sampler, samples, threads, Partial(num_arcs, num_ffs),
-      [&](Partial& p, std::uint64_t, const mc::ArcSample& chip) {
-        for (std::size_t e = 0; e < num_arcs; ++e) {
-          mc::arc_slack(graph, e, chip.dmax[e], chip.dmin[e], clock_period_ps,
-                        p.setup_c[e], p.hold_c[e]);
-          p.slack[e] = std::min(p.setup_c[e], p.hold_c[e]);
-        }
-        binding_arcs(p.slack, p.binding);
+      [&](Partial& p, std::uint64_t, const mc::ChipView& chip) {
+        binding_arcs(
+            chip,
+            [&](std::size_t e, double late, double early) {
+              double setup_c = 0.0, hold_c = 0.0;
+              mc::arc_slack(graph, e, late, early, clock_period_ps, setup_c,
+                            hold_c);
+              return std::min(setup_c, hold_c);
+            },
+            p);
         tally(graph, p.binding, p.arc_before, p.ff_before, p.ffs);
 
         core::add_failing_incidence(graph, chip, clock_period_ps, p.incidence);
@@ -196,16 +238,23 @@ CriticalityReport compute_criticality(const ssta::SeqGraph& graph,
           tally(graph, p.binding, p.arc_after, p.ff_after, p.ffs);
           return;
         }
-        for (std::size_t e = 0; e < num_arcs; ++e) {
-          const ssta::SeqArc& arc = graph.arcs[e];
-          const int vi = eval.group_of_ff(arc.src_ff);
-          const int vj = eval.group_of_ff(arc.dst_ff);
-          const int xi = vi < 0 ? 0 : (*config)[static_cast<std::size_t>(vi)];
-          const int xj = vj < 0 ? 0 : (*config)[static_cast<std::size_t>(vj)];
-          p.slack[e] = std::min(p.setup_c[e] + step * (xj - xi),
-                                p.hold_c[e] + step * (xi - xj));
-        }
-        binding_arcs(p.slack, p.binding);
+        binding_arcs(
+            chip,
+            [&](std::size_t e, double late, double early) {
+              const ssta::SeqArc& arc = graph.arcs[e];
+              const int vi = eval.group_of_ff(arc.src_ff);
+              const int vj = eval.group_of_ff(arc.dst_ff);
+              const int xi =
+                  vi < 0 ? 0 : (*config)[static_cast<std::size_t>(vi)];
+              const int xj =
+                  vj < 0 ? 0 : (*config)[static_cast<std::size_t>(vj)];
+              double setup_c = 0.0, hold_c = 0.0;
+              mc::arc_slack(graph, e, late, early, clock_period_ps, setup_c,
+                            hold_c);
+              return std::min(setup_c + step * (xj - xi),
+                              hold_c + step * (xi - xj));
+            },
+            p);
         tally(graph, p.binding, p.arc_after, p.ff_after, p.ffs);
       });
   CriticalityMetrics::get().samples.inc(samples);

@@ -9,16 +9,21 @@
 namespace clktune::core {
 
 void add_failing_incidence(const ssta::SeqGraph& graph,
-                           const mc::ArcSample& chip,
+                           const mc::ChipView& chip,
                            double clock_period_ps,
                            std::vector<std::uint64_t>& incidence) {
   for (std::size_t e = 0; e < graph.arcs.size(); ++e) {
     const ssta::SeqArc& arc = graph.arcs[e];
     const auto i = static_cast<std::size_t>(arc.src_ff);
     const auto j = static_cast<std::size_t>(arc.dst_ff);
-    const double slack = clock_period_ps - graph.setup_ps[j] -
-                         chip.dmax[e] + graph.skew_ps[j] - graph.skew_ps[i];
-    if (slack < 0.0) {
+    const auto slack = [&](double late) {
+      return clock_period_ps - graph.setup_ps[j] - late + graph.skew_ps[j] -
+             graph.skew_ps[i];
+    };
+    if (slack(chip.bounds(e).late_hi) >= 0.0) continue;
+    double late = 0.0, early = 0.0;
+    chip.delays(e, late, early);
+    if (slack(late) < 0.0) {
       ++incidence[i];
       if (i != j) ++incidence[j];
     }
@@ -34,7 +39,7 @@ std::vector<std::uint64_t> criticality_incidence(const ssta::SeqGraph& graph,
   Counts incidence(static_cast<std::size_t>(graph.num_ffs), 0);
   const std::vector<Counts> partial = mc::fold_chips(
       sampler, samples, threads, incidence,
-      [&](Counts& acc, std::uint64_t, const mc::ArcSample& chip) {
+      [&](Counts& acc, std::uint64_t, const mc::ChipView& chip) {
         add_failing_incidence(graph, chip, clock_period_ps, acc);
       });
   for (const Counts& p : partial)

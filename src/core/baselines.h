@@ -21,9 +21,10 @@ namespace clktune::core {
 /// Adds one chip's failing-setup incidence at x = 0 to `incidence` (one
 /// count per flip-flop per failing arc it ends, a self-loop counted once):
 /// the per-sample body of criticality_incidence, shared with callers that
-/// already hold the chip's delays.
+/// already hold the chip open.  Draws only the arcs whose bounds cannot
+/// decide their setup sign.
 void add_failing_incidence(const ssta::SeqGraph& graph,
-                           const mc::ArcSample& chip,
+                           const mc::ChipView& chip,
                            double clock_period_ps,
                            std::vector<std::uint64_t>& incidence);
 

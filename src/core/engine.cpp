@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
 
 #include "core/sample_solver.h"
 #include "mc/arc_constants.h"
@@ -48,19 +49,23 @@ PassOutput run_pass(const ssta::SeqGraph& graph,
   // cluster, and pulling keeps every worker busy through a burst.  All
   // per-sample outputs are written to sample-indexed slots and the
   // diagnostics are integer sums, so the result is schedule-independent.
-  // The first pass derives every sample's quantized arc constants and the
-  // cache keeps the violating ones; later passes skip the rest outright —
-  // a sample without a violated arc has n_k = 0 under any windows, which
-  // is exactly what the defaulted slots already say.
+  // The first pass screens every sample and the cache keeps the constants
+  // of the violating ones; every pass skips the rest outright — a sample
+  // without a violated arc has n_k = 0 under any windows (solve returns
+  // before building a model), which is exactly what the defaulted slots
+  // already say.
   util::parallel_pull(
       static_cast<std::size_t>(samples), workers,
       [&](std::size_t w, std::size_t k) {
-        if (!first_pass && !cache.violating(k)) return;
         thread_local mc::ArcConstants scratch;  // per-worker scratch
         thread_local SolveWorkspace ws;
-        const mc::ArcConstantsView constants =
-            first_pass ? cache.fill(k, scratch) : cache.get(k, scratch);
-        SampleSolution sol = solver.solve(constants, mode, targets, ws);
+        std::optional<mc::ArcConstantsView> constants;
+        if (first_pass)
+          constants = cache.fill(k, scratch);
+        else if (cache.violating(k))
+          constants = cache.get(k, scratch);
+        if (!constants) return;
+        SampleSolution sol = solver.solve(*constants, mode, targets, ws);
         PhaseDiagnostics& d = diags[w];
         d.milps_solved += static_cast<std::uint64_t>(sol.milps_solved);
         d.milp_nodes += static_cast<std::uint64_t>(sol.milp_nodes);

@@ -7,17 +7,16 @@
 #include "mc/fold.h"
 #include "obs/metrics.h"
 #include "util/assert.h"
-#include "util/thread_pool.h"
 
 namespace clktune::feas {
 
 namespace {
 
-/// MC hot-path metrics.  The evaluation loops record into these: one
-/// counter add per chunk or per pass (not per sample) and one timed solve
-/// every 64th sample, so the instrumentation stays strictly
-/// bounded — sample_feasible itself is untouched, which is what keeps the
-/// zero-allocation assertions and the perf gate honest.
+/// MC hot-path metrics.  The evaluation loop records into these: one
+/// counter add per pass (not per sample) and one timed solve every 64th
+/// sample, so the instrumentation stays strictly bounded — sample_feasible
+/// itself is untouched, which is what keeps the zero-allocation assertions
+/// and the perf gate honest.
 struct McMetrics {
   obs::Counter& samples;
   obs::Histogram& solve_seconds;
@@ -110,46 +109,23 @@ YieldEvaluator::YieldEvaluator(const ssta::SeqGraph& graph, TuningPlan plan,
   }
 }
 
-namespace {
-
-/// Delay provider drawing arcs on demand — only the arcs actually visited
-/// before an early exit cost any sampling work.
-struct SampledDelays {
-  const mc::Sampler& sampler;
-  std::uint64_t k;
-  std::array<double, ssta::kParams> z;
-
-  SampledDelays(const mc::Sampler& s, std::uint64_t sample)
-      : sampler(s), k(sample), z(s.globals(sample)) {}
-
-  void delays(std::size_t e, double& late, double& early) const {
-    sampler.arc_delays(k, e, z, late, early);
-  }
-};
-
-/// Delay provider reading a chip already drawn.
-struct DrawnDelays {
-  const mc::ArcSample& chip;
-
-  void delays(std::size_t e, double& late, double& early) const {
-    late = chip.dmax[e];
-    early = chip.dmin[e];
-  }
-};
-
-}  // namespace
-
-template <class Delays>
-bool YieldEvaluator::solve_sample_impl(const Delays& provider,
-                                       Workspace& ws) const {
+bool YieldEvaluator::solve_chip(const mc::ChipView& chip,
+                                Workspace& ws) const {
   const ssta::SeqGraph& graph = *graph_;
 
   // ---- check-only arcs: sign tests with early exit ----------------------
+  // The setup constant falls as the late delay grows and the hold constant
+  // rises with the early delay, so late_hi and early_lo give their lowest
+  // values; only an arc those cannot prove clean is drawn.
   for (const int e : check_arcs_) {
     const auto es = static_cast<std::size_t>(e);
-    double late = 0.0, early = 0.0;
-    provider.delays(es, late, early);
+    const mc::DelayBounds b = chip.bounds(es);
     double setup_c = 0.0, hold_c = 0.0;
+    mc::arc_slack(graph, es, b.late_hi, b.early_lo, clock_period_, setup_c,
+                  hold_c);
+    if (setup_c >= 0.0 && hold_c >= 0.0) continue;
+    double late = 0.0, early = 0.0;
+    chip.delays(es, late, early);
     mc::arc_slack(graph, es, late, early, clock_period_, setup_c, hold_c);
     if (setup_c < 0.0 || hold_c < 0.0) return false;
   }
@@ -165,7 +141,7 @@ bool YieldEvaluator::solve_sample_impl(const Delays& provider,
   for (const EdgeArc& ea : edge_arcs_) {
     const auto es = static_cast<std::size_t>(ea.arc);
     double late = 0.0, early = 0.0;
-    provider.delays(es, late, early);
+    chip.delays(es, late, early);
     double setup_c = 0.0, hold_c = 0.0;
     mc::arc_slack(graph, es, late, early, clock_period_, setup_c, hold_c);
     ws.weights[static_cast<std::size_t>(ea.setup_slot)] =
@@ -183,20 +159,9 @@ bool YieldEvaluator::solve_sample_impl(const Delays& provider,
       [&](int e) { return ws.weights[static_cast<std::size_t>(e)]; });
 }
 
-bool YieldEvaluator::solve_sample(const mc::Sampler& sampler, std::uint64_t k,
-                                  Workspace& ws) const {
-  return solve_sample_impl(SampledDelays(sampler, k), ws);
-}
-
-bool YieldEvaluator::sample_feasible(const mc::Sampler& sampler,
-                                     std::uint64_t k) const {
+bool YieldEvaluator::sample_feasible(const mc::ChipView& chip) const {
   thread_local Workspace ws;
-  return solve_sample(sampler, k, ws);
-}
-
-bool YieldEvaluator::sample_feasible(const mc::ArcSample& chip) const {
-  thread_local Workspace ws;
-  return solve_sample_impl(DrawnDelays{chip}, ws);
+  return solve_chip(chip, ws);
 }
 
 std::vector<int> YieldEvaluator::config_from_workspace(
@@ -213,37 +178,10 @@ std::vector<int> YieldEvaluator::config_from_workspace(
 }
 
 std::optional<std::vector<int>> YieldEvaluator::find_configuration(
-    const mc::Sampler& sampler, std::uint64_t k) const {
+    const mc::ChipView& chip) const {
   thread_local Workspace ws;
-  if (!solve_sample(sampler, k, ws)) return std::nullopt;
+  if (!solve_chip(chip, ws)) return std::nullopt;
   return config_from_workspace(ws);
-}
-
-std::optional<std::vector<int>> YieldEvaluator::find_configuration(
-    const mc::ArcSample& chip) const {
-  thread_local Workspace ws;
-  if (!solve_sample_impl(DrawnDelays{chip}, ws)) return std::nullopt;
-  return config_from_workspace(ws);
-}
-
-YieldResult YieldEvaluator::evaluate(const mc::Sampler& sampler,
-                                     std::uint64_t samples,
-                                     int threads) const {
-  const std::size_t workers = util::resolve_thread_count(
-      threads <= 0 ? 0 : static_cast<std::size_t>(threads));
-  std::vector<std::uint64_t> passing(workers, 0);
-  util::parallel_chunks(
-      static_cast<std::size_t>(samples), workers,
-      [&](std::size_t w, std::size_t begin, std::size_t end) {
-        McMetrics& metrics = McMetrics::get();
-        for (std::size_t k = begin; k < end; ++k)
-          passing[w] += count_pass(
-              k, metrics, [&] { return sample_feasible(sampler, k); });
-        metrics.samples.inc(end - begin);
-      });
-  std::uint64_t total = 0;
-  for (const std::uint64_t p : passing) total += p;
-  return yield_of(total, samples);
 }
 
 YieldResult yield_of(std::uint64_t passing, std::uint64_t samples) {
@@ -264,13 +202,6 @@ TuningPlan empty_plan() {
   return empty;
 }
 
-YieldResult original_yield(const ssta::SeqGraph& graph, double clock_period_ps,
-                           const mc::Sampler& sampler, std::uint64_t samples,
-                           int threads) {
-  const YieldEvaluator eval(graph, empty_plan(), clock_period_ps);
-  return eval.evaluate(sampler, samples, threads);
-}
-
 YieldReport evaluate_yield_report(const ssta::SeqGraph& graph,
                                   const TuningPlan& plan,
                                   double clock_period_ps,
@@ -283,9 +214,9 @@ YieldReport evaluate_yield_report(const ssta::SeqGraph& graph,
   const YieldEvaluator original(graph, empty_plan(), clock_period_ps);
   const YieldEvaluator tuned(graph, plan, clock_period_ps);
 
-  // Each chip is drawn once and both evaluators check that draw: realised
-  // delays do not depend on the plan, so Yo and Y are bit-identical to two
-  // separate evaluations over the sampler.
+  // Each chip is opened once and both evaluators check that view: realised
+  // delays do not depend on the plan, so an arc bounded or drawn for Yo is
+  // not computed again for Y.
   struct Passing {
     std::uint64_t original = 0;
     std::uint64_t tuned = 0;
@@ -293,7 +224,7 @@ YieldReport evaluate_yield_report(const ssta::SeqGraph& graph,
   McMetrics& metrics = McMetrics::get();
   const std::vector<Passing> partial = mc::fold_chips(
       sampler, samples, threads, Passing{},
-      [&](Passing& acc, std::uint64_t k, const mc::ArcSample& chip) {
+      [&](Passing& acc, std::uint64_t k, const mc::ChipView& chip) {
         acc.original += count_pass(
             k, metrics, [&] { return original.sample_feasible(chip); });
         acc.tuned += count_pass(

@@ -10,8 +10,9 @@
 //
 //   * check-only arcs — both endpoints unbuffered, so tuning cancels: per
 //     sample they reduce to a sign test on the raw constants, evaluated
-//     first with early exit (a failing chip is rejected before most of its
-//     arcs are even sampled);
+//     first with early exit.  The test reads the arc's bounds
+//     (mc::ChipView::bounds) and draws the arc only when they cannot
+//     decide its sign, which is rare;
 //   * edge arcs — incident to a tuned group: their constraint-graph
 //     topology is static, so the SPFA graph is built once and only the two
 //     weights per arc are rewritten per sample.
@@ -46,24 +47,15 @@ class YieldEvaluator {
   YieldEvaluator(const ssta::SeqGraph& graph, TuningPlan plan,
                  double clock_period_ps);
 
-  /// Does sample k (drawn via `sampler`) admit a feasible configuration?
-  /// Zero heap allocations in steady state (per-thread workspace).
-  bool sample_feasible(const mc::Sampler& sampler, std::uint64_t k) const;
+  /// Does the chip admit a feasible configuration?  Zero heap allocations
+  /// in steady state (per-thread workspace).
+  bool sample_feasible(const mc::ChipView& chip) const;
 
-  /// Same question over a chip already drawn (the one-draw measurements).
-  bool sample_feasible(const mc::ArcSample& chip) const;
-
-  /// Buffer configuration (delay steps per physical group) for sample k, or
-  /// nullopt when the chip cannot be rescued.  This is the post-silicon
-  /// "testing and configuration" step the paper lists as future work.
+  /// Buffer configuration (delay steps per physical group) for the chip, or
+  /// nullopt when it cannot be rescued.  This is the post-silicon "testing
+  /// and configuration" step the paper lists as future work.
   std::optional<std::vector<int>> find_configuration(
-      const mc::Sampler& sampler, std::uint64_t k) const;
-
-  /// Same question over a chip already drawn, so a caller that
-  /// materialised its delays — the criticality engine visits every arc
-  /// anyway — does not pay a second sampling pass.
-  std::optional<std::vector<int>> find_configuration(
-      const mc::ArcSample& chip) const;
+      const mc::ChipView& chip) const;
 
   /// Group variable of flip-flop `ff` under the plan's grouping; -1 when
   /// the flip-flop carries no tuning buffer.  Configurations returned by
@@ -71,13 +63,6 @@ class YieldEvaluator {
   int group_of_ff(int ff) const {
     return var_of_ff_[static_cast<std::size_t>(ff)];
   }
-
-  /// Yield over `samples` Monte-Carlo chips, each drawn arc by arc only
-  /// as far as its check needs (a failing chip exits early).  A
-  /// measurement that checks several plans or periods draws each chip once
-  /// through mc::fold_chips instead.
-  YieldResult evaluate(const mc::Sampler& sampler, std::uint64_t samples,
-                       int threads = 0) const;
 
   const TuningPlan& plan() const { return plan_; }
   double clock_period_ps() const { return clock_period_; }
@@ -100,13 +85,10 @@ class YieldEvaluator {
     int hold_slot = 0;   ///< weight slot of  x_uj - x_ui <= hold
   };
 
-  /// Feasibility of sample k; on success ws.dist holds the potentials.
-  bool solve_sample(const mc::Sampler& sampler, std::uint64_t k,
-                    Workspace& ws) const;
+  /// Feasibility of the chip; on success ws.spfa.dist holds the potentials.
+  bool solve_chip(const mc::ChipView& chip, Workspace& ws) const;
   /// Per-group delay steps from a feasible workspace (reference at zero).
   std::vector<int> config_from_workspace(const Workspace& ws) const;
-  template <class Delays>
-  bool solve_sample_impl(const Delays& delays, Workspace& ws) const;
 
   void add_static_edge(int u, int v, std::int64_t w);
 
@@ -132,11 +114,6 @@ class YieldEvaluator {
   std::vector<std::int64_t> weights_template_;
 };
 
-/// Yield with no buffers at all (the paper's Yo).
-YieldResult original_yield(const ssta::SeqGraph& graph, double clock_period_ps,
-                           const mc::Sampler& sampler, std::uint64_t samples,
-                           int threads = 0);
-
 /// The result of `passing` feasible chips out of `samples`.
 YieldResult yield_of(std::uint64_t passing, std::uint64_t samples);
 
@@ -157,9 +134,8 @@ struct YieldReport {
 };
 
 /// Evaluates original and tuned yield over `samples` fresh Monte-Carlo chips
-/// drawn with `eval_seed`.  Each chip is drawn once and checked by both
-/// evaluators; the result equals original_yield plus
-/// YieldEvaluator(plan).evaluate over the same sampler.
+/// drawn with `eval_seed`.  Each chip is opened once (mc::fold_chips) and
+/// checked by both evaluators.
 YieldReport evaluate_yield_report(const ssta::SeqGraph& graph,
                                   const TuningPlan& plan,
                                   double clock_period_ps,

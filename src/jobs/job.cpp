@@ -67,6 +67,10 @@ util::Json JobRecord::to_json() const {
   for (const std::size_t index : done_indices)
     done.push_back(static_cast<std::uint64_t>(index));
   j.set("done", std::move(done));
+  Json cached_done = Json::array();
+  for (const std::size_t index : cached_indices)
+    cached_done.push_back(static_cast<std::uint64_t>(index));
+  j.set("cached_indices", std::move(cached_done));
   j.set("cached", cached);
   j.set("targets_missed", targets_missed);
   if (!error.empty()) j.set("error", error);
@@ -93,6 +97,11 @@ JobRecord JobRecord::from_json(const util::Json& j) {
   rec.cells_total = static_cast<std::size_t>(j.at("cells_total").as_uint());
   for (const Json& index : j.at("done").as_array())
     rec.done_indices.push_back(static_cast<std::size_t>(index.as_uint()));
+  // Absent from envelopes written before cache hits were recorded per cell:
+  // their cells replay as computed.
+  if (const Json* list = j.find("cached_indices"))
+    for (const Json& index : list->as_array())
+      rec.cached_indices.push_back(static_cast<std::size_t>(index.as_uint()));
   rec.cached = j.at("cached").as_uint();
   rec.targets_missed = j.at("targets_missed").as_uint();
   if (const Json* what = j.find("error")) rec.error = what->as_string();

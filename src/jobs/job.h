@@ -73,6 +73,9 @@ struct JobRecord {
   /// Global expansion indices already finished, sorted — the per-cell
   /// checkpoints that make a half-run job resumable and replayable.
   std::vector<std::size_t> done_indices;
+  /// The done indices whose cell was served from the cache when it ran,
+  /// sorted: replay reports each cell as it ran, not as it replays.
+  std::vector<std::size_t> cached_indices;
   std::uint64_t cached = 0;          ///< finished cells served from cache
   std::uint64_t targets_missed = 0;  ///< finished cells below yield target
   std::string error;                 ///< diagnostic for the error state

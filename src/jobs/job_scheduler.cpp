@@ -464,10 +464,15 @@ JobRecord JobScheduler::attach(
   }
   JobRecord rec = *snapshot;
 
-  // Replay the checkpointed cells from the content-addressed cache.  The
-  // artifacts are pure functions of the document, so a cache miss (e.g. a
-  // memory-only daemon restarted) recomputes the exact same bytes — the
-  // replayed stream is indistinguishable from the live one.
+  // Replay the checkpointed cells from the content-addressed cache, each
+  // flagged cached or not as it was when it ran (the checkpoint recorded
+  // it): a cell this job computed replays as computed even though the
+  // cache now holds it.  A cache miss (e.g. a memory-only daemon
+  // restarted) recomputes the cell.  A campaign cell runs at one thread,
+  // so its bytes come back exactly; a scenario job recomputes at this
+  // daemon's thread count, and a scenario's period MC merges per-thread
+  // statistics, so after a restart at another -t its bytes can differ in
+  // the last digits of the period statistics.
   std::vector<scenario::ScenarioSpec> specs;
   if (!rec.done_indices.empty()) specs = specs_of(rec);
   std::set<std::size_t> sent;
@@ -476,7 +481,6 @@ JobRecord JobScheduler::attach(
         rec.kind == "campaign" ? specs.at(index) : specs.at(0);
     const std::string key = cache::scenario_cache_key(spec);
     Json artifact;
-    bool cached = true;
     if (std::optional<Json> hit = cache_->get(key)) {
       artifact = std::move(*hit);
     } else {
@@ -484,8 +488,9 @@ JobRecord JobScheduler::attach(
           spec, rec.kind == "campaign" ? 1 : options_.threads);
       artifact = result.to_json();
       cache_->put(key, artifact);
-      cached = false;
     }
+    const bool cached = std::binary_search(rec.cached_indices.begin(),
+                                           rec.cached_indices.end(), index);
     sent.insert(index);
     if (!sink(result_frame(index, cached, std::move(artifact)))) {
       if (sub != nullptr) remove_subscriber(id, sub);

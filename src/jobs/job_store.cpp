@@ -212,6 +212,10 @@ JobRecord JobStore::record_cell(const std::string& id, std::size_t index,
       std::lower_bound(rec.done_indices.begin(), rec.done_indices.end(), index);
   if (pos != rec.done_indices.end() && *pos == index) return rec;  // replayed
   rec.done_indices.insert(pos, index);
+  if (cached)
+    rec.cached_indices.insert(std::lower_bound(rec.cached_indices.begin(),
+                                               rec.cached_indices.end(), index),
+                              index);
   rec.cached += cached ? 1 : 0;
   rec.targets_missed += missed_target ? 1 : 0;
   rec.updated_ms = now_ms();

@@ -66,7 +66,8 @@ class JobStore {
   JobRecord cancel_if_queued(const std::string& id);
 
   /// One per-cell checkpoint: records the finished global index (idempotent
-  /// per index), bumps the cached / targets-missed counters, persists.
+  /// per index) and whether it was a cache hit, bumps the cached /
+  /// targets-missed counters, persists.
   /// Throws JobError on an unknown id.
   JobRecord record_cell(const std::string& id, std::size_t index, bool cached,
                         bool missed_target);

@@ -1,6 +1,7 @@
 #include "mc/arc_constants.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "mc/sampler.h"
 #include "util/assert.h"
@@ -36,7 +37,7 @@ SampleConstantCache::SampleConstantCache(const Sampler& sampler,
       capacity_bytes_(store_slices() * slice_bytes(num_arcs_)),
       state_(samples, kUnfilled),
       slices_(max_bytes > 0 ? samples : 0, nullptr),
-      store_(std::make_unique_for_overwrite<std::int32_t[]>(
+      store_(std::make_unique_for_overwrite<std::int16_t[]>(
           store_slices() * 2 * num_arcs_)) {}
 
 ArcConstantsView SampleConstantCache::compute(std::uint64_t k,
@@ -54,29 +55,40 @@ std::uint64_t SampleConstantCache::store_slices() const {
   return slice == 0 ? samples_ : std::min(samples_, max_bytes_ / slice);
 }
 
-std::int32_t* SampleConstantCache::claim_slice() {
+std::int16_t* SampleConstantCache::claim_slice() {
   if (!caching()) return nullptr;
   const std::uint64_t need = slice_bytes(num_arcs_);
   std::uint64_t used = stored_bytes_.load();
   do {
     if (need > capacity_bytes_ - used) return nullptr;
   } while (!stored_bytes_.compare_exchange_weak(used, used + need));
-  return store_.get() + used / sizeof(std::int32_t);
+  return store_.get() + used / sizeof(std::int16_t);
 }
 
-ArcConstantsView SampleConstantCache::fill(std::uint64_t k,
-                                           ArcConstants& scratch) {
+std::optional<ArcConstantsView> SampleConstantCache::fill(
+    std::uint64_t k, ArcConstants& scratch) {
   CLKTUNE_EXPECTS(k < samples_);
-  const ArcConstantsView view = compute(k, scratch);
-  const bool keep = has_violation(view);
+  const bool keep = sampler_->has_violation(k, clock_period_ps_, step_ps_);
   state_[static_cast<std::size_t>(k)] = keep ? kKept : kSkipped;
-  if (!keep) return view;
-  std::int32_t* const slot = claim_slice();
+  if (!keep) return std::nullopt;
+  const ArcConstantsView view = compute(k, scratch);
+  const auto fits = [&](const std::int32_t* v) {
+    return std::all_of(v, v + num_arcs_, [](std::int32_t x) {
+      return x >= std::numeric_limits<std::int16_t>::min() &&
+             x <= std::numeric_limits<std::int16_t>::max();
+    });
+  };
+  if (!fits(view.setup_steps) || !fits(view.hold_steps)) return view;
+  std::int16_t* const slot = claim_slice();
   if (slot == nullptr) return view;
-  std::copy(view.setup_steps, view.setup_steps + num_arcs_, slot);
-  std::copy(view.hold_steps, view.hold_steps + num_arcs_, slot + num_arcs_);
+  const auto narrow = [](std::int32_t x) {
+    return static_cast<std::int16_t>(x);
+  };
+  std::transform(view.setup_steps, view.setup_steps + num_arcs_, slot, narrow);
+  std::transform(view.hold_steps, view.hold_steps + num_arcs_,
+                 slot + num_arcs_, narrow);
   slices_[static_cast<std::size_t>(k)] = slot;
-  return {slot, slot + num_arcs_, num_arcs_};
+  return view;
 }
 
 bool SampleConstantCache::violating(std::uint64_t k) const {
@@ -91,8 +103,12 @@ ArcConstantsView SampleConstantCache::get(std::uint64_t k,
   CLKTUNE_EXPECTS(k < samples_);
   if (caching()) {
     CLKTUNE_EXPECTS(state_[static_cast<std::size_t>(k)] != kUnfilled);
-    if (const std::int32_t* s = slices_[static_cast<std::size_t>(k)])
-      return {s, s + num_arcs_, num_arcs_};
+    if (const std::int16_t* s = slices_[static_cast<std::size_t>(k)]) {
+      scratch.resize(num_arcs_);
+      std::copy(s, s + num_arcs_, scratch.setup_steps.begin());
+      std::copy(s + num_arcs_, s + 2 * num_arcs_, scratch.hold_steps.begin());
+      return view_of(scratch);
+    }
   }
   return compute(k, scratch);
 }

@@ -12,15 +12,16 @@
 // epsilon) and provides a cross-pass cache so a violating sample's
 // constants are computed once per insertion run instead of once per pass.
 //
-// Constants are stored structure-of-arrays as int32 (magnitudes are bounded
-// by clock period / step, a few thousand), halving the footprint of the
-// former int64 representation.
+// Constants are structure-of-arrays int32 (magnitudes are bounded by clock
+// period / step, a few thousand); the cross-pass cache stores them as int16
+// where they fit.
 #pragma once
 
 #include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "ssta/seq_graph.h"
@@ -99,14 +100,22 @@ inline bool has_violation(const ArcConstantsView& c) {
 }
 
 /// Cross-pass sample-constant cache.  The first pass calls fill(k) for every
-/// sample (computing with the fused sampler kernel); it keeps only the
-/// samples with a violated arc — the only ones a later pass solves — and
-/// stores them while `max_bytes` lasts.  Later passes skip the samples that
+/// sample.  It screens the sample first (Sampler::has_violation, which
+/// draws only the arcs their bounds leave undecided); a sample proven clean
+/// is skipped, and one with a violated arc — the only kind a pass solves —
+/// gets its constants from the fused sampler kernel, stored while
+/// `max_bytes` lasts.  Later passes skip the samples that
 /// were not kept (violating(k) is false: they meet timing under any
-/// windows) and call get(k) for the rest, which is a pointer lookup when
-/// stored and a recomputation into the caller's scratch otherwise
-/// (streaming).  Recomputed and stored constants are bit-identical, so
-/// which samples fit cannot change a result.
+/// windows) and call get(k) for the rest, which widens the stored slice
+/// into the caller's scratch, or recomputes it there when it was not
+/// stored (streaming).  Recomputed and stored constants are bit-identical,
+/// so which samples fit cannot change a result.
+///
+/// Slices are stored as int16, half the bytes of the int32 the solver
+/// reads: the cache is most of an insertion run's memory, and the step
+/// counts of physical timing values are a few thousand at most.  A sample
+/// with any constant outside int16 is not stored but streamed, so the
+/// narrowing never changes a value.
 ///
 /// Stored samples are packed into one block reserved up front for as many
 /// slices as the budget holds (or every sample, if fewer).  The block is
@@ -127,16 +136,20 @@ class SampleConstantCache {
   std::uint64_t bytes() const { return stored_bytes_.load(); }
   /// Footprint of one stored sample.
   static std::uint64_t slice_bytes(std::size_t num_arcs) {
-    return 2ull * sizeof(std::int32_t) * num_arcs;
+    return 2ull * sizeof(std::int16_t) * num_arcs;
   }
 
-  /// Computes sample k, and stores it when it has a violated arc and the
-  /// budget still has room.  May be called concurrently for distinct k —
-  /// each writes its own slot, and the budget is claimed atomically.
-  ArcConstantsView fill(std::uint64_t k, ArcConstants& scratch);
+  /// Screens sample k.  A sample with a violated arc gets its constants
+  /// computed, stored while the budget still has room, and returned; a
+  /// clean one returns nullopt (it meets timing untouched).  May be called
+  /// concurrently for distinct k — each writes its own slot, and the
+  /// budget is claimed atomically.
+  std::optional<ArcConstantsView> fill(std::uint64_t k,
+                                       ArcConstants& scratch);
   /// Did filled sample k have a violated arc?  Asserts the slot was filled.
   bool violating(std::uint64_t k) const;
-  /// The stored constants, or a recomputation into scratch.  With storing
+  /// The stored constants widened into scratch, or a recomputation there.
+  /// Either way the view points into scratch.  With storing
   /// on it asserts slot k was filled (the fill pass's thread join orders
   /// the slot write before this read) — reading a sample the fill pass
   /// never saw means the passes disagree on what they cover.
@@ -152,7 +165,7 @@ class SampleConstantCache {
   /// per sample.
   std::uint64_t store_slices() const;
   /// Claims the next free slice of the store; null once it is full.
-  std::int32_t* claim_slice();
+  std::int16_t* claim_slice();
 
   const Sampler* sampler_;
   double clock_period_ps_;
@@ -164,8 +177,8 @@ class SampleConstantCache {
   std::atomic<std::uint64_t> stored_bytes_{0};
   std::vector<char> state_;  ///< per-sample fill state
   /// Per-sample slice (setup then hold) inside store_, null when not stored.
-  std::vector<const std::int32_t*> slices_;
-  std::unique_ptr<std::int32_t[]> store_;  ///< stored slices, claim order
+  std::vector<const std::int16_t*> slices_;
+  std::unique_ptr<std::int16_t[]> store_;  ///< stored slices, claim order
 };
 
 }  // namespace clktune::mc

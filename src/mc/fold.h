@@ -2,10 +2,11 @@
 // measurement (period MC, yield report, criticality, binning, the baseline
 // incidence ranking).
 //
-// Each chip is drawn once into worker-private scratch and handed to one
-// visitor, which applies every check the measurement needs to that draw —
-// realised delays do not depend on the clock period or the plan, so one
-// draw serves any number of evaluators.  Chips are split into the
+// Each chip is opened once as a lazy mc::ChipView on worker-private scratch
+// and handed to one visitor, which applies every check the measurement
+// needs to it — realised delays do not depend on the clock period or the
+// plan, so one view serves any number of evaluators, and each arc is
+// bounded or drawn at most once however many of them ask.  Chips are split into the
 // contiguous chunks of util::parallel_chunks, one accumulator per chunk, and
 // the accumulators come back in chunk order.  Integer tallies merged in any
 // order are therefore thread-count invariant; a floating-point merge
@@ -20,7 +21,7 @@
 
 namespace clktune::mc {
 
-/// Draws chips [0, samples) of `sampler` on `threads` workers (0 = all
+/// Opens chips [0, samples) of `sampler` on `threads` workers (0 = all
 /// cores) and calls visit(acc, k, chip) for each, where acc is the
 /// accumulator of k's chunk, seeded as a copy of `init`.  Returns one
 /// accumulator per worker in chunk order: accumulator w covers exactly
@@ -35,11 +36,10 @@ std::vector<Acc> fold_chips(const Sampler& sampler, std::uint64_t samples,
   util::parallel_chunks(
       static_cast<std::size_t>(samples), workers,
       [&](std::size_t w, std::size_t begin, std::size_t end) {
-        ArcSample chip;
+        ChipScratch scratch;
         for (std::size_t k = begin; k < end; ++k) {
-          sampler.evaluate(k, chip);
-          visit(acc[w], static_cast<std::uint64_t>(k),
-                static_cast<const ArcSample&>(chip));
+          const ChipView chip = scratch.open(sampler, k);
+          visit(acc[w], static_cast<std::uint64_t>(k), chip);
         }
       });
   return acc;

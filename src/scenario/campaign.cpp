@@ -115,8 +115,12 @@ Json CampaignSpec::to_json() const {
 std::size_t CampaignSpec::expansion_size() const {
   std::size_t total = 1;
   for (const SweepAxis& axis : axes) {
-    if (total > 100000 / axis.values.size())
-      throw JsonError("campaign: sweep expands to more than 100000 scenarios");
+    if (total > kMaxExpansion / axis.values.size()) {
+      std::string what = "campaign: sweep expands to more than ";
+      what += std::to_string(kMaxExpansion);
+      what += " scenarios";
+      throw JsonError(what);
+    }
     total *= axis.values.size();
   }
   return total;

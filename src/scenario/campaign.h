@@ -38,6 +38,10 @@ struct SweepAxis {
   std::vector<util::Json> values;
 };
 
+/// Most scenarios one campaign may expand to; every expansion index, and
+/// so every "result" index on the wire, is below it.
+inline constexpr std::size_t kMaxExpansion = 100000;
+
 struct CampaignSpec {
   std::string name = "campaign";
   util::Json base = util::Json::object();  ///< base scenario document
@@ -52,7 +56,7 @@ struct CampaignSpec {
   util::Json to_json() const;
 
   /// Number of scenarios the sweep expands to (product of axis sizes);
-  /// throws util::JsonError above 100000.  O(#axes).
+  /// throws util::JsonError above kMaxExpansion.  O(#axes).
   std::size_t expansion_size() const;
 
   /// Cross-product expansion into validated scenario specs.  Throws

@@ -74,6 +74,17 @@ SubmitOutcome submit_raw(const std::string& host, std::uint16_t port,
     const std::string kind = event.at("event").as_string();
     if (kind == "result") {
       const std::size_t index = event.at("index").as_uint();
+      // Results are stored by index, so an index is a size: no expansion
+      // reaches kMaxExpansion, and a peer that claims one does not get to
+      // allocate for it.
+      if (index >= scenario::kMaxExpansion) {
+        std::string what = "daemon sent result index ";
+        what += std::to_string(index);
+        what += ", past the ";
+        what += std::to_string(scenario::kMaxExpansion);
+        what += "-scenario expansion limit";
+        throw exec::ExecError(what);
+      }
       if (outcome.results.size() <= index) outcome.results.resize(index + 1);
       outcome.cached += event.at("cached").as_bool() ? 1 : 0;
       outcome.results[index] = event.at("result");

@@ -19,6 +19,25 @@ namespace clktune::ssta {
 
 inline constexpr int kParams = netlist::kNumGlobalParams;
 
+/// a * b rounded on its own, never fused with the add that consumes it.
+/// Monte-Carlo exactness rests on every site rounding Canon::eval alike:
+/// the delay bracket and the draw it brackets, the fused constants kernel
+/// and the full draw.  A compiler allowed to contract (-ffp-contract=fast
+/// on an FMA target) may fuse a multiply-add at one inlining site and not
+/// at another; the empty asm makes the product opaque, so it never can.
+/// It emits no instruction, and without contraction it changes nothing.
+inline double unfused_mul(double a, double b) {
+  double p = a * b;
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  __asm__("" : "+x"(p));
+#elif defined(__GNUC__) && defined(__aarch64__)
+  __asm__("" : "+w"(p));
+#elif defined(__GNUC__)
+  __asm__("" : "+m"(p));
+#endif
+  return p;
+}
+
 struct Canon {
   double mu = 0.0;
   std::array<double, kParams> a{};
@@ -51,11 +70,14 @@ struct Canon {
   friend Canon operator+(Canon lhs, const Canon& rhs) { return lhs += rhs; }
 
   /// Sample realisation given global draws and this delay's local draw.
+  /// Products are never fused into the sums (unfused_mul), so every call
+  /// site rounds alike and the result is monotone in z_local.
   double eval(const std::array<double, kParams>& z_global,
               double z_local) const {
-    double d = mu + aloc * z_local;
+    double d = mu + unfused_mul(aloc, z_local);
     for (int p = 0; p < kParams; ++p)
-      d += a[static_cast<std::size_t>(p)] * z_global[static_cast<std::size_t>(p)];
+      d += unfused_mul(a[static_cast<std::size_t>(p)],
+                       z_global[static_cast<std::size_t>(p)]);
     return d;
   }
 };

@@ -2,6 +2,31 @@
 
 namespace clktune::util {
 
+void OnlineStats::add(double x) {
+  ++n_;
+  const double delta = x - mean_;
+  mean_ += delta / static_cast<double>(n_);
+  m2_ += delta * (x - mean_);
+  if (x < min_) min_ = x;
+  if (x > max_) max_ = x;
+}
+
+void OnlineStats::merge(const OnlineStats& other) {
+  if (other.n_ == 0) return;
+  if (n_ == 0) {
+    *this = other;
+    return;
+  }
+  const double na = static_cast<double>(n_);
+  const double nb = static_cast<double>(other.n_);
+  const double delta = other.mean_ - mean_;
+  mean_ += delta * nb / (na + nb);
+  m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
+  n_ += other.n_;
+  if (other.min_ < min_) min_ = other.min_;
+  if (other.max_ > max_) max_ = other.max_;
+}
+
 double correlation(std::span<const double> a, std::span<const double> b) {
   CLKTUNE_EXPECTS(a.size() == b.size());
   OnlineCorrelation acc;

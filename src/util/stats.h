@@ -15,31 +15,14 @@ namespace clktune::util {
 /// Numerically stable running mean / variance / extremes (Welford).
 class OnlineStats {
  public:
-  void add(double x) {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
-  }
+  /// Out of line, like merge: every caller then runs one compiled rounding
+  /// sequence, so a statistic recomputed elsewhere (a test's reference, a
+  /// bench) matches bit for bit even where the compiler is free to fuse a
+  /// multiply-add at one inlining site and not at another.
+  void add(double x);
 
   /// Merge another accumulator (parallel reduction), Chan et al. update.
-  void merge(const OnlineStats& other) {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-      *this = other;
-      return;
-    }
-    const double na = static_cast<double>(n_);
-    const double nb = static_cast<double>(other.n_);
-    const double delta = other.mean_ - mean_;
-    mean_ += delta * nb / (na + nb);
-    m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
-    n_ += other.n_;
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
-  }
+  void merge(const OnlineStats& other);
 
   std::size_t count() const { return n_; }
   double mean() const { return mean_; }

@@ -49,10 +49,10 @@ TEST(EngineTest, ImprovesYieldAtMuT) {
   BufferInsertionEngine engine(f.design, f.graph, t, fast_config());
   const InsertionResult res = engine.run();
 
-  const mc::Sampler eval(f.graph, 777);
-  const feas::YieldResult before = feas::original_yield(f.graph, t, eval, 3000);
-  const feas::YieldEvaluator evaluator(f.graph, res.plan, t);
-  const feas::YieldResult after = evaluator.evaluate(eval, 3000);
+  const feas::YieldReport report =
+      feas::evaluate_yield_report(f.graph, res.plan, t, 777, 3000);
+  const feas::YieldResult& before = report.original;
+  const feas::YieldResult& after = report.tuned;
 
   EXPECT_GT(after.yield, before.yield + 0.05)
       << "buffers must buy significant yield at muT";
@@ -68,11 +68,10 @@ TEST(EngineTest, NeverHurtsYield) {
     const double t = f.period.mu() + mult * f.period.sigma();
     BufferInsertionEngine engine(f.design, f.graph, t, fast_config());
     const InsertionResult res = engine.run();
-    const mc::Sampler eval(f.graph, 778);
-    const feas::YieldResult before =
-        feas::original_yield(f.graph, t, eval, 2500);
-    const feas::YieldEvaluator evaluator(f.graph, res.plan, t);
-    const feas::YieldResult after = evaluator.evaluate(eval, 2500);
+    const feas::YieldReport report =
+        feas::evaluate_yield_report(f.graph, res.plan, t, 778, 2500);
+    const feas::YieldResult& before = report.original;
+    const feas::YieldResult& after = report.tuned;
     EXPECT_GE(after.yield, before.yield - 1e-9) << "mult=" << mult;
   }
 }
@@ -242,11 +241,12 @@ TEST(EngineTest, ProposedBeatsTopKBaselineAtEqualBudget) {
       f.graph, insert_sampler, t, fast_config().num_samples,
       res.plan.physical_buffers(), fast_config().steps, res.step_ps);
 
-  const mc::Sampler eval(f.graph, 779);
-  const feas::YieldEvaluator ours(f.graph, res.plan, t);
-  const feas::YieldEvaluator theirs(f.graph, topk, t);
-  const double y_ours = ours.evaluate(eval, 3000).yield;
-  const double y_theirs = theirs.evaluate(eval, 3000).yield;
+  const auto tuned_yield = [&](const feas::TuningPlan& plan) {
+    return feas::evaluate_yield_report(f.graph, plan, t, 779, 3000)
+        .tuned.yield;
+  };
+  const double y_ours = tuned_yield(res.plan);
+  const double y_theirs = tuned_yield(topk);
   // Equal budget: the proposed asymmetric-window flow should not lose by
   // more than noise, and typically wins.
   EXPECT_GE(y_ours, y_theirs - 0.02);
@@ -259,11 +259,12 @@ TEST(EngineTest, OracleBoundsProposedYield) {
   const InsertionResult res = engine.run();
   const feas::TuningPlan oracle =
       oracle_plan(f.graph, fast_config().steps, res.step_ps);
-  const mc::Sampler eval(f.graph, 780);
-  const double y_ours =
-      feas::YieldEvaluator(f.graph, res.plan, t).evaluate(eval, 3000).yield;
-  const double y_oracle =
-      feas::YieldEvaluator(f.graph, oracle, t).evaluate(eval, 3000).yield;
+  const auto tuned_yield = [&](const feas::TuningPlan& plan) {
+    return feas::evaluate_yield_report(f.graph, plan, t, 780, 3000)
+        .tuned.yield;
+  };
+  const double y_ours = tuned_yield(res.plan);
+  const double y_oracle = tuned_yield(oracle);
   EXPECT_LE(y_ours, y_oracle + 0.02);
 }
 

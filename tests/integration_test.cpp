@@ -65,13 +65,15 @@ TEST_P(SolverEvaluatorAgreement, FixableIffFeasible) {
   const mc::Sampler sampler(w.graph, 1234);
 
   mc::ArcSample arcs;
+  mc::ChipScratch scratch;
   int disagreements = 0;
   int fixable = 0, infeasible = 0;
   for (std::uint64_t k = 0; k < 400; ++k) {
     sampler.evaluate(k, arcs);
     const core::SampleSolution sol =
         solver.solve(arcs, core::ConcentrateMode::none);
-    const bool evaluator_ok = evaluator.sample_feasible(sampler, k);
+    const bool evaluator_ok =
+        evaluator.sample_feasible(scratch.open(sampler, k));
     disagreements += sol.fixable != evaluator_ok;
     fixable += sol.fixable;
     infeasible += !evaluator_ok;
@@ -124,6 +126,7 @@ TEST(SolverOptimality, CountMatchesExhaustiveOnSmallChips) {
       core::CandidateWindows::floating(w.graph.num_ffs, 20));
   const mc::Sampler sampler(w.graph, 9);
   mc::ArcSample arcs;
+  mc::ChipScratch scratch;
   std::vector<std::int64_t> setup, hold;
 
   const auto feasible_with_support = [&](const std::vector<int>& support) {
@@ -148,12 +151,13 @@ TEST(SolverOptimality, CountMatchesExhaustiveOnSmallChips) {
     empty.step_ps = w.step;
     empty.reset_groups();
     EXPECT_FALSE(feas::YieldEvaluator(w.graph, empty, w.t)
-                     .sample_feasible(sampler, k));
+                     .sample_feasible(scratch.open(sampler, k)));
     if (sol.nk == 2) {
       // No single buffer may suffice.
       for (int f = 0; f < w.graph.num_ffs; ++f) {
         EXPECT_FALSE(
-            feasible_with_support({f}).sample_feasible(sampler, k))
+            feasible_with_support({f}).sample_feasible(
+                scratch.open(sampler, k)))
             << "solver claimed nk=2 but ff" << f << " alone fixes sample "
             << k;
       }
@@ -196,16 +200,17 @@ TEST(EndToEnd, BenchFileThroughWholeFlow) {
   config.num_samples = 1500;
   core::BufferInsertionEngine engine(design, graph, ps.mu(), config);
   const core::InsertionResult res = engine.run();
-  const mc::Sampler eval(graph, 555);
-  const double before =
-      feas::original_yield(graph, ps.mu(), eval, 2000).yield;
-  const feas::YieldEvaluator evaluator(graph, res.plan, ps.mu());
-  const double after = evaluator.evaluate(eval, 2000).yield;
-  EXPECT_GE(after, before);
+  const feas::YieldReport report =
+      feas::evaluate_yield_report(graph, res.plan, ps.mu(), 555, 2000);
+  EXPECT_GE(report.tuned.yield, report.original.yield);
   // Rescued chips must get valid register settings.
+  const mc::Sampler eval(graph, 555);
+  const feas::YieldEvaluator evaluator(graph, res.plan, ps.mu());
+  mc::ChipScratch scratch;
   int configs = 0;
   for (std::uint64_t chip = 0; chip < 50; ++chip)
-    configs += evaluator.find_configuration(eval, chip).has_value();
+    configs +=
+        evaluator.find_configuration(scratch.open(eval, chip)).has_value();
   EXPECT_GT(configs, 0);
 }
 
@@ -252,6 +257,7 @@ TEST(EndToEnd, UnfixableSamplesAreEvaluatorInfeasibleToo) {
   const feas::YieldEvaluator evaluator(w.graph, full, w.t);
   const mc::Sampler sampler(w.graph, 11);
   mc::ArcSample arcs;
+  mc::ChipScratch scratch;
   int unfixable = 0;
   for (std::uint64_t k = 0; k < 300; ++k) {
     sampler.evaluate(k, arcs);
@@ -259,7 +265,8 @@ TEST(EndToEnd, UnfixableSamplesAreEvaluatorInfeasibleToo) {
         solver.solve(arcs, core::ConcentrateMode::none);
     if (!sol.fixable) {
       ++unfixable;
-      EXPECT_FALSE(evaluator.sample_feasible(sampler, k)) << "sample " << k;
+      EXPECT_FALSE(evaluator.sample_feasible(scratch.open(sampler, k)))
+          << "sample " << k;
     }
   }
   // (The converse is covered by SolverEvaluatorAgreement.)

@@ -194,8 +194,21 @@ TEST_F(JobServiceFixture, AttachReplayIsByteIdenticalToSynchronousSweep) {
               reference.summary.results[i].to_json().dump());
   EXPECT_EQ(stream.final_event.at("targets_missed").as_uint(), 0u);
 
-  // Replayed cells come from the daemon's content-addressed cache.
-  EXPECT_EQ(stream.cached, 2u);
+  // Replayed cells come from the daemon's content-addressed cache, but are
+  // reported as they ran: this job computed both.
+  EXPECT_EQ(stream.cached, 0u);
+
+  // A second job of the same document is served from the cache, and its
+  // replay says so.
+  const Json again = submit_job(doc);
+  const std::string again_id = again.at("id").as_string();
+  ASSERT_EQ(wait_terminal(again_id).at("state").as_string(), "done");
+  const serve::SubmitOutcome hits = attach(again_id);
+  ASSERT_TRUE(hits.ok());
+  ASSERT_EQ(hits.results.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_EQ(hits.results[i].dump(), stream.results[i].dump());
+  EXPECT_EQ(hits.cached, 2u);
 }
 
 TEST_F(JobServiceFixture, DetachedAnalysisJobsAttachByteIdentically) {
@@ -285,6 +298,9 @@ TEST_F(JobServiceFixture, RestartRecoversFinishedJobsByteIdentically) {
   ASSERT_EQ(after.results.size(), before.results.size());
   for (std::size_t i = 0; i < after.results.size(); ++i)
     EXPECT_EQ(after.results[i].dump(), before.results[i].dump());
+  // The per-cell cache-hit flags survive the restart with the envelope.
+  EXPECT_EQ(after.cached, before.cached);
+  EXPECT_EQ(after.cached, 0u);
 }
 
 TEST_F(JobServiceFixture, RestartRequeuesInterruptedJobsAndFinishesThem) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/engine.h"
@@ -178,19 +179,30 @@ TEST(ArcConstantsTest, ConstantCacheStreamingMatchesCached) {
   ASSERT_TRUE(cached.caching());
   ASSERT_FALSE(streaming.caching());
 
-  mc::ArcConstants scratch_a, scratch_b;
+  mc::ArcConstants scratch_a, scratch_b, fused;
+  fused.resize(fx.graph.arcs.size());
   std::uint64_t violating = 0;
   for (std::uint64_t k = 0; k < n; ++k) {
-    const mc::ArcConstantsView a = cached.fill(k, scratch_a);
-    const mc::ArcConstantsView b = streaming.fill(k, scratch_b);
-    ASSERT_EQ(a.num_arcs, b.num_arcs);
-    for (std::size_t e = 0; e < a.num_arcs; ++e) {
-      ASSERT_EQ(a.setup_steps[e], b.setup_steps[e]);
-      ASSERT_EQ(a.hold_steps[e], b.hold_steps[e]);
+    const std::optional<mc::ArcConstantsView> a = cached.fill(k, scratch_a);
+    const std::optional<mc::ArcConstantsView> b = streaming.fill(k, scratch_b);
+    // The screen keeps exactly the samples whose fused constants violate,
+    // and a kept sample carries the fused constants.
+    sampler.evaluate_constants(k, fx.t0, step, fused.setup_steps.data(),
+                               fused.hold_steps.data());
+    ASSERT_EQ(a.has_value(), mc::has_violation(mc::view_of(fused)));
+    ASSERT_EQ(b.has_value(), a.has_value());
+    EXPECT_EQ(cached.violating(k), a.has_value());
+    EXPECT_EQ(streaming.violating(k), a.has_value());
+    if (!a) continue;
+    ++violating;
+    ASSERT_EQ(a->num_arcs, fused.setup_steps.size());
+    ASSERT_EQ(b->num_arcs, fused.setup_steps.size());
+    for (std::size_t e = 0; e < a->num_arcs; ++e) {
+      ASSERT_EQ(a->setup_steps[e], fused.setup_steps[e]);
+      ASSERT_EQ(a->hold_steps[e], fused.hold_steps[e]);
+      ASSERT_EQ(b->setup_steps[e], fused.setup_steps[e]);
+      ASSERT_EQ(b->hold_steps[e], fused.hold_steps[e]);
     }
-    EXPECT_EQ(cached.violating(k), mc::has_violation(a));
-    EXPECT_EQ(streaming.violating(k), cached.violating(k));
-    violating += cached.violating(k) ? 1 : 0;
   }
   // Only violating samples are stored, each as one slice.
   EXPECT_GT(violating, 0u);
@@ -203,6 +215,32 @@ TEST(ArcConstantsTest, ConstantCacheStreamingMatchesCached) {
     const mc::ArcConstantsView b = streaming.get(k, scratch_b);
     for (std::size_t e = 0; e < a.num_arcs; ++e)
       ASSERT_EQ(a.setup_steps[e], b.setup_steps[e]);
+  }
+}
+
+TEST(ArcConstantsTest, ConstantsOutsideInt16AreStreamedNotStored) {
+  const KernelFixture fx;
+  const mc::Sampler sampler(fx.graph, 42);
+  // A step this fine makes every constant a step count far past int16.
+  const double step = 1e-4;
+  const std::uint64_t n = 8;
+  mc::SampleConstantCache cache(sampler, fx.t0, step, n, 1ull << 30);
+  mc::ArcConstants scratch, fused;
+  fused.resize(fx.graph.arcs.size());
+  std::uint64_t violating = 0;
+  for (std::uint64_t k = 0; k < n; ++k)
+    violating += cache.fill(k, scratch).has_value() ? 1 : 0;
+  ASSERT_GT(violating, 0u);
+  EXPECT_EQ(cache.bytes(), 0u);
+  for (std::uint64_t k = 0; k < n; ++k) {
+    if (!cache.violating(k)) continue;
+    const mc::ArcConstantsView got = cache.get(k, scratch);
+    sampler.evaluate_constants(k, fx.t0, step, fused.setup_steps.data(),
+                               fused.hold_steps.data());
+    for (std::size_t e = 0; e < got.num_arcs; ++e) {
+      ASSERT_EQ(got.setup_steps[e], fused.setup_steps[e]);
+      ASSERT_EQ(got.hold_steps[e], fused.hold_steps[e]);
+    }
   }
 }
 
@@ -295,6 +333,30 @@ TEST(ZeroAllocTest, DiffConstraintsSteadyStateDoesNotAllocate) {
   EXPECT_EQ(allocs, 0u);
 }
 
+TEST(ZeroAllocTest, ScreenedConstantFillDoesNotAllocate) {
+  const KernelFixture fx;
+  const mc::Sampler sampler(fx.graph, 654);
+  const double step = fx.t0 / 160.0;
+  const std::uint64_t n = 200;
+  // Stored and streamed constants: the screen, the fused kernel and the
+  // store must all run from preallocated memory.
+  for (const std::uint64_t budget : {1ull << 30, 0ull}) {
+    mc::SampleConstantCache cache(sampler, fx.t0, step, n, budget);
+    mc::ArcConstants scratch;
+    std::uint64_t kept = 0;
+    for (std::uint64_t k = 0; k < 16; ++k)  // warm the scratch
+      kept += cache.fill(k, scratch).has_value() ? 1 : 0;
+
+    util::AllocCounterScope scope;
+    for (std::uint64_t k = 16; k < n; ++k)
+      kept += cache.fill(k, scratch).has_value() ? 1 : 0;
+    const std::uint64_t allocs = scope.delta();
+    EXPECT_EQ(allocs, 0u) << "budget " << budget;
+    EXPECT_GT(kept, 0u);  // both outcomes of the screen are exercised
+    EXPECT_LT(kept, n);
+  }
+}
+
 TEST(ZeroAllocTest, YieldCheckSteadyStateDoesNotAllocate) {
   const KernelFixture fx;
   const mc::Sampler sampler(fx.graph, 321);
@@ -306,13 +368,14 @@ TEST(ZeroAllocTest, YieldCheckSteadyStateDoesNotAllocate) {
   plan.reset_groups();
   const feas::YieldEvaluator eval(fx.graph, plan, t);
 
+  mc::ChipScratch scratch;
   std::uint64_t passing = 0;
   for (std::uint64_t k = 0; k < 16; ++k)  // warm the per-thread workspace
-    passing += eval.sample_feasible(sampler, k) ? 1 : 0;
+    passing += eval.sample_feasible(scratch.open(sampler, k)) ? 1 : 0;
 
   util::AllocCounterScope scope;
   for (std::uint64_t k = 16; k < 216; ++k)
-    passing += eval.sample_feasible(sampler, k) ? 1 : 0;
+    passing += eval.sample_feasible(scratch.open(sampler, k)) ? 1 : 0;
   const std::uint64_t allocs = scope.delta();
   EXPECT_EQ(allocs, 0u);
   EXPECT_GT(passing, 0u);  // keep the loop observable
@@ -329,26 +392,30 @@ TEST(ZeroAllocTest, SolverPassingSamplesSteadyStateDoesNotAllocate) {
       core::CandidateWindows::floating(fx.graph.num_ffs, 20));
   const mc::Sampler sampler(fx.graph, 777);
   const std::uint64_t n = 128;
-  mc::SampleConstantCache cache(sampler, t, step, n, 1ull << 30);
-  ASSERT_TRUE(cache.caching());
+  const auto constants = [&](std::uint64_t k, mc::ArcConstants& c) {
+    sampler.evaluate_constants(k, t, step, c.setup_steps.data(),
+                               c.hold_steps.data());
+    return mc::view_of(c);
+  };
 
   core::SolveWorkspace ws;
   mc::ArcConstants scratch;
+  scratch.resize(fx.graph.arcs.size());
   // Warm-up: first sample sizes the workspace.
   int nk_sum = 0;
   {
-    const core::SampleSolution sol = solver.solve(
-        cache.fill(0, scratch), core::ConcentrateMode::toward_zero, nullptr,
-        ws);
+    const core::SampleSolution sol =
+        solver.solve(constants(0, scratch),
+                     core::ConcentrateMode::toward_zero, nullptr, ws);
     ASSERT_TRUE(sol.fixable);
     ASSERT_EQ(sol.nk, 0) << "fixture must pass at 2x nominal period";
   }
 
   util::AllocCounterScope scope;
   for (std::uint64_t k = 1; k < n; ++k) {
-    const core::SampleSolution sol = solver.solve(
-        cache.fill(k, scratch), core::ConcentrateMode::toward_zero, nullptr,
-        ws);
+    const core::SampleSolution sol =
+        solver.solve(constants(k, scratch),
+                     core::ConcentrateMode::toward_zero, nullptr, ws);
     nk_sum += sol.nk;
   }
   const std::uint64_t allocs = scope.delta();

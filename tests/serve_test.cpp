@@ -300,6 +300,33 @@ TEST(ClientTimeoutTest, SilentPeerSurfacesAsTimedOutNotEof) {
   }
 }
 
+TEST(ClientHardeningTest, ResultIndexPastTheExpansionLimitIsRejected) {
+  // A peer that answers any request with one "result" frame at index 2^40:
+  // storing it by index would mean a vector of 2^40 slots.
+  const util::TcpSocket listener = util::tcp_listen(0);
+  std::thread peer([&] {
+    const util::TcpSocket connection = util::tcp_accept(listener);
+    util::LineReader reader(connection);
+    std::string request;
+    reader.read_line(request);
+    util::tcp_write_all(connection,
+                        R"({"event":"result","index":1099511627776,)"
+                        R"("cached":false,"result":{}})"
+                        "\n"
+                        R"({"event":"done","ok":true})"
+                        "\n");
+  });
+  try {
+    serve::submit_raw("127.0.0.1", util::tcp_local_port(listener),
+                      Json::parse(R"({"cmd":"status"})"));
+    ADD_FAILURE() << "expected the result index to be rejected";
+  } catch (const exec::ExecError& e) {
+    EXPECT_NE(std::string(e.what()).find("1099511627776"), std::string::npos)
+        << e.what();
+  }
+  peer.join();
+}
+
 TEST(ClientTimeoutTest, UnreachableDaemonReportsTheEndpoint) {
   // Grab an ephemeral port and release it: connecting must now fail fast
   // with a diagnostic naming the endpoint rather than hanging.
