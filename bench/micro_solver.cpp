@@ -1,8 +1,8 @@
 // Microbenchmarks of the optimisation substrate: bounded-variable simplex,
 // branch & bound, difference-constraint feasibility (one-shot and
 // workspace-reuse), and the per-sample solver end to end — both the engine
-// hot path (cached constants + reusable workspace) and the from-scratch
-// path (sampler draw + quantize + solve) it replaced.
+// hot path (lazy chip view + reusable workspace) and the fully drawn path
+// (sampler draw + solve).
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -11,7 +11,6 @@
 #include "feas/diff_constraints.h"
 #include "gbench_json.h"
 #include "lp/simplex.h"
-#include "mc/arc_constants.h"
 #include "mc/sampler.h"
 #include "milp/branch_and_bound.h"
 #include "netlist/generator.h"
@@ -122,8 +121,9 @@ struct SolverFixture {
 };
 
 // The engine hot path of steps 2a/2b: samples without a violated arc are
-// skipped, the rest get constants from the cross-pass cache and a solve on
-// a warm workspace.  One iteration = one sample.
+// skipped, the rest reopen the chip and solve on a warm workspace from
+// step 1's violated-arc list, drawing only the arcs the solve reads.  One
+// iteration = one sample.
 void BM_PerSampleSolve(benchmark::State& state) {
   static const SolverFixture fx;
   const double tau = fx.t0 / 8.0;
@@ -132,25 +132,27 @@ void BM_PerSampleSolve(benchmark::State& state) {
       fx.graph, tau / 20.0, fx.t0,
       core::CandidateWindows::floating(fx.graph.num_ffs, 20));
   const mc::Sampler sampler(fx.graph, 99);
-  mc::SampleConstantCache cache(sampler, fx.t0, tau / 20.0, window,
-                                1ull << 30);
-  mc::ArcConstants scratch;
-  for (std::uint64_t k = 0; k < window; ++k) cache.fill(k, scratch);
+  mc::ChipScratch scratch;
+  std::vector<std::vector<int>> violated(window);
+  for (std::uint64_t k = 0; k < window; ++k)
+    mc::violated_arcs(fx.graph, scratch.open(sampler, k), fx.t0, tau / 20.0,
+                      violated[k]);
   core::SolveWorkspace ws;
+  core::SampleSolution sol;
   std::uint64_t k = 0;
   for (auto _ : state) {
     const std::uint64_t sample = k++ % window;
-    if (!cache.violating(sample)) continue;
-    const core::SampleSolution sol =
-        solver.solve(cache.get(sample, scratch),
-                     core::ConcentrateMode::toward_zero, nullptr, ws);
+    if (violated[sample].empty()) continue;
+    solver.solve({scratch.open(sampler, sample), violated[sample]},
+                 core::ConcentrateMode::toward_zero, nullptr, ws, sol);
     benchmark::DoNotOptimize(sol.nk);
   }
 }
 BENCHMARK(BM_PerSampleSolve);
 
-// The pre-cache shape: every sample pays a sampler draw and a quantize
-// pass before the solve (what steps 2a/2b used to cost).
+// Every arc drawn before the solve: a sampler draw and a scan of every
+// arc's constants per sample (what steps 2a/2b cost before they read
+// chips lazily).
 void BM_PerSampleSolveFromScratch(benchmark::State& state) {
   static const SolverFixture fx;
   const double tau = fx.t0 / 8.0;

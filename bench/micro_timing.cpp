@@ -1,13 +1,12 @@
 // Microbenchmarks of the timing substrate: sequential-graph extraction,
-// per-sample arc evaluation (split and fused-quantizing forms), period
-// Monte-Carlo and yield checking (lazily drawn and pre-drawn forms).
+// per-sample arc evaluation, the violation scan insertion step 1 runs on
+// each chip, and yield checking (lazily drawn and pre-drawn forms).
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "feas/yield_eval.h"
 #include "gbench_json.h"
-#include "mc/arc_constants.h"
 #include "mc/period_mc.h"
 #include "mc/sampler.h"
 #include "netlist/generator.h"
@@ -50,43 +49,27 @@ void BM_ArcSampleEvaluation(benchmark::State& state) {
 }
 BENCHMARK(BM_ArcSampleEvaluation);
 
-// The fused kernel the insertion flow runs on: draw + quantize in one pass,
-// no ArcSample materialisation.
-void BM_FusedConstantEvaluation(benchmark::State& state) {
-  static const netlist::Design design = make_design(500, 4000);
-  static const ssta::SeqGraph graph = ssta::extract_seq_graph(design);
-  const mc::Sampler sampler(graph, 3);
-  const mc::PeriodStats ps = mc::sample_min_period(sampler, 200);
-  mc::ArcConstants constants;
-  constants.resize(graph.arcs.size());
-  std::uint64_t k = 0;
-  for (auto _ : state) {
-    sampler.evaluate_constants(k++, ps.mu(), ps.mu() / 160.0,
-                               constants.setup_steps.data(),
-                               constants.hold_steps.data());
-    benchmark::DoNotOptimize(constants.setup_steps.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(graph.arcs.size()));
-}
-BENCHMARK(BM_FusedConstantEvaluation);
-
-// The screen insertion step 1 runs before the fused kernel: one hash and a
-// bracket per arc, a full draw only where the bracket cannot decide.
-void BM_ScreenedViolationCheck(benchmark::State& state) {
+// The scan insertion step 1 runs on every chip: one hash and a bracket per
+// arc, a full draw only where the bracket cannot decide, and every violated
+// arc collected.
+void BM_ViolationScan(benchmark::State& state) {
   static const netlist::Design design = make_design(500, 4000);
   static const ssta::SeqGraph graph = ssta::extract_seq_graph(design);
   const mc::Sampler sampler(graph, 3);
   const mc::PeriodStats ps = mc::sample_min_period(sampler, 200);
   const double t = ps.mu() + 2.0 * ps.sigma();
+  mc::ChipScratch scratch;
+  std::vector<int> violated;
   std::uint64_t k = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sampler.has_violation(k++, t, ps.mu() / 160.0));
+    mc::violated_arcs(graph, scratch.open(sampler, k++), t, ps.mu() / 160.0,
+                      violated);
+    benchmark::DoNotOptimize(violated.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(graph.arcs.size()));
 }
-BENCHMARK(BM_ScreenedViolationCheck);
+BENCHMARK(BM_ViolationScan);
 
 struct YieldFixture {
   const netlist::Design design = make_design(500, 4000);

@@ -1,5 +1,6 @@
 #include "bench/bench_report.h"
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -48,6 +49,11 @@ util::Json BenchReport::to_json() const {
   j.set("samples_per_sec", sps);
   j.set("milp_nodes", milp_nodes_);
   j.set("allocations", allocs_.delta());
+  // Peak resident set of this process so far, in MB (ru_maxrss is KiB on
+  // Linux).
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  j.set("peak_rss_mb", static_cast<double>(usage.ru_maxrss) / 1024.0);
   // Faults fired during the run — in this process, plus any a harness
   // observed on the system under test.  Nonzero means the numbers
   // describe a chaos experiment, not performance; scripts/perf_gate.sh

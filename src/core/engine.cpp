@@ -4,10 +4,8 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <optional>
 
 #include "core/sample_solver.h"
-#include "mc/arc_constants.h"
 #include "mc/sampler.h"
 #include "netlist/nominal_sta.h"
 #include "util/assert.h"
@@ -19,6 +17,12 @@ namespace {
 
 using SparseSolution = std::vector<std::pair<int, int>>;
 
+/// Per insertion sample, the arcs violated at x = 0 in ascending order
+/// (mc::violated_arcs), as step 1's scan found them; empty for a sample that
+/// meets timing untouched.  Realised delays do not depend on the windows,
+/// so every pass sees the same lists.
+using ViolatedArcs = std::vector<std::vector<int>>;
+
 struct PassOutput {
   std::vector<SparseSolution> solutions;
   std::vector<SparseSolution> mincount;
@@ -27,12 +31,18 @@ struct PassOutput {
   PhaseDiagnostics diag;
 };
 
-PassOutput run_pass(const ssta::SeqGraph& graph,
-                    mc::SampleConstantCache& cache, bool first_pass,
-                    std::uint64_t samples, const CandidateWindows& windows,
+/// One solve per violating sample.  The first pass scans every sample and
+/// fills `violated`; later passes solve the samples it lists and skip the
+/// rest outright — a sample without a violated arc has n_k = 0 under any
+/// windows, which is exactly what the defaulted slots already say.  Each
+/// solve reopens the chip and draws only the arcs it reads.
+PassOutput run_pass(const mc::Sampler& sampler, ViolatedArcs& violated,
+                    bool first_pass, const CandidateWindows& windows,
                     double step_ps, double clock_period, ConcentrateMode mode,
                     const std::vector<double>* targets,
                     const InsertionConfig& config, bool keep_mincount) {
+  const ssta::SeqGraph& graph = sampler.graph();
+  const std::size_t samples = violated.size();
   PassOutput out;
   out.solutions.resize(samples);
   if (keep_mincount) out.mincount.resize(samples);
@@ -49,39 +59,35 @@ PassOutput run_pass(const ssta::SeqGraph& graph,
   // cluster, and pulling keeps every worker busy through a burst.  All
   // per-sample outputs are written to sample-indexed slots and the
   // diagnostics are integer sums, so the result is schedule-independent.
-  // The first pass screens every sample and the cache keeps the constants
-  // of the violating ones; every pass skips the rest outright — a sample
-  // without a violated arc has n_k = 0 under any windows (solve returns
-  // before building a model), which is exactly what the defaulted slots
-  // already say.
-  util::parallel_pull(
-      static_cast<std::size_t>(samples), workers,
-      [&](std::size_t w, std::size_t k) {
-        thread_local mc::ArcConstants scratch;  // per-worker scratch
-        thread_local SolveWorkspace ws;
-        std::optional<mc::ArcConstantsView> constants;
-        if (first_pass)
-          constants = cache.fill(k, scratch);
-        else if (cache.violating(k))
-          constants = cache.get(k, scratch);
-        if (!constants) return;
-        SampleSolution sol = solver.solve(*constants, mode, targets, ws);
-        PhaseDiagnostics& d = diags[w];
-        d.milps_solved += static_cast<std::uint64_t>(sol.milps_solved);
-        d.milp_nodes += static_cast<std::uint64_t>(sol.milp_nodes);
-        d.lazy_rounds += static_cast<std::uint64_t>(sol.lazy_rounds);
-        d.truncated_milps += sol.truncated ? 1 : 0;
-        if (!sol.fixable) {
-          out.fixable[k] = 0;
-          ++d.unfixable_samples;
-          ++d.samples_with_violations;
-          return;
-        }
-        if (sol.nk > 0) ++d.samples_with_violations;
-        out.nk[k] = sol.nk;
-        out.solutions[k] = std::move(sol.tunings);
-        if (keep_mincount) out.mincount[k] = std::move(sol.mincount_tunings);
-      });
+  util::parallel_pull(samples, workers, [&](std::size_t w, std::size_t k) {
+    thread_local mc::ChipScratch scratch;  // per-worker scratch
+    thread_local SolveWorkspace ws;
+    thread_local SampleSolution sol;
+    if (!first_pass && violated[k].empty()) return;
+    const mc::ChipView chip = scratch.open(sampler, k);
+    if (first_pass) {
+      mc::violated_arcs(graph, chip, clock_period, step_ps, violated[k]);
+      if (violated[k].empty()) return;
+    }
+    solver.solve({chip, violated[k]}, mode, targets, ws, sol);
+    PhaseDiagnostics& d = diags[w];
+    d.milps_solved += static_cast<std::uint64_t>(sol.milps_solved);
+    d.milp_nodes += static_cast<std::uint64_t>(sol.milp_nodes);
+    d.lazy_rounds += static_cast<std::uint64_t>(sol.lazy_rounds);
+    d.truncated_milps += sol.truncated ? 1 : 0;
+    if (!sol.fixable) {
+      out.fixable[k] = 0;
+      ++d.unfixable_samples;
+      ++d.samples_with_violations;
+      return;
+    }
+    if (sol.nk > 0) ++d.samples_with_violations;
+    out.nk[k] = sol.nk;
+    out.solutions[k].assign(sol.tunings.begin(), sol.tunings.end());
+    if (keep_mincount)
+      out.mincount[k].assign(sol.mincount_tunings.begin(),
+                             sol.mincount_tunings.end());
+  });
   for (const PhaseDiagnostics& d : diags) out.diag.merge(d);
   return out;
 }
@@ -117,11 +123,10 @@ InsertionResult BufferInsertionEngine::run() {
   res.plan.reset_groups();
 
   const mc::Sampler sampler(*graph_, config_.sample_seed);
-  // All three passes see identical per-sample constants (same sampler, T
-  // and step grid), so step 1 computes them once and steps 2a/2b reuse the
-  // violating ones.
-  mc::SampleConstantCache cache(sampler, clock_period_, step_ps_, samples,
-                                config_.sample_cache_max_bytes);
+  // All three passes see identical chips (same sampler, T and step grid),
+  // so step 1 finds each sample's violated arcs once and steps 2a/2b solve
+  // only the samples that have some.
+  ViolatedArcs violated(samples);
 
   // ------------------- step 1: floating lower bounds ----------------------
   util::Stopwatch sw1;
@@ -130,7 +135,7 @@ InsertionResult BufferInsertionEngine::run() {
   const ConcentrateMode mode1 = config_.enable_concentration
                                     ? ConcentrateMode::toward_zero
                                     : ConcentrateMode::none;
-  PassOutput p1 = run_pass(*graph_, cache, true, samples, floating, step_ps_,
+  PassOutput p1 = run_pass(sampler, violated, true, floating, step_ps_,
                            clock_period_, mode1, nullptr, config_, true);
   res.step1 = p1.diag;
   res.step1.seconds = sw1.seconds();
@@ -212,9 +217,8 @@ InsertionResult BufferInsertionEngine::run() {
   PassOutput p2a;
   if (!res.step2a_skipped) {
     util::Stopwatch sw;
-    p2a = run_pass(*graph_, cache, false, samples, fixed, step_ps_,
-                   clock_period_, ConcentrateMode::none, nullptr, config_,
-                   false);
+    p2a = run_pass(sampler, violated, false, fixed, step_ps_, clock_period_,
+                   ConcentrateMode::none, nullptr, config_, false);
     res.step2a = p2a.diag;
     res.step2a.seconds = sw.seconds();
   } else {
@@ -266,7 +270,7 @@ InsertionResult BufferInsertionEngine::run() {
   const ConcentrateMode mode2 = config_.enable_concentration
                                     ? ConcentrateMode::toward_target
                                     : ConcentrateMode::none;
-  PassOutput p2b = run_pass(*graph_, cache, false, samples, fixed, step_ps_,
+  PassOutput p2b = run_pass(sampler, violated, false, fixed, step_ps_,
                             clock_period_, mode2, &targets, config_, false);
   res.step2b = p2b.diag;
   res.step2b.seconds = sw2b.seconds();

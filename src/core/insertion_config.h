@@ -50,16 +50,6 @@ struct InsertionConfig {
   /// any thread count.
   int threads = 0;
 
-  /// Byte budget of the cross-pass sample-constant cache: step 1 quantizes
-  /// every sample's arc constants once and steps 2a/2b reuse those of the
-  /// violating samples instead of re-deriving them (sampler + floor) per
-  /// pass.  It caps the bytes actually stored, 2 * int32 * arcs per
-  /// violating sample; violating samples past it are recomputed per pass
-  /// (streaming), so million-sample campaigns run in bounded memory, and 0
-  /// stores nothing.  Purely an execution detail — results are
-  /// bit-identical with the cache holding all, some or none of them.
-  std::uint64_t sample_cache_max_bytes = 512ull << 20;
-
   /// Branch & bound node budget per per-sample ILP.
   long milp_max_nodes = 50000;
 

@@ -90,18 +90,21 @@ using Component = SolveWorkspace::Component;
 // actually touched this sample are (re)written.
 struct SampleSolver::WorkingModel {
   const SampleSolver& solver;
-  const mc::ArcConstantsView& constants;
+  const mc::ChipView& chip;
   SolveWorkspace& ws;
 
-  WorkingModel(const SampleSolver& s, const mc::ArcConstantsView& c,
+  WorkingModel(const SampleSolver& s, const mc::ChipView& c,
                SolveWorkspace& w)
-      : solver(s), constants(c), ws(w) {
+      : solver(s), chip(c), ws(w) {
     ++ws.epoch;
     const std::size_t num_arcs = s.graph_->arcs.size();
     const auto num_ffs = static_cast<std::size_t>(s.graph_->num_ffs);
     if (ws.in_model_epoch.size() < num_arcs) {
       ws.in_model_epoch.resize(num_arcs, 0);
       ws.violated_epoch.resize(num_arcs, 0);
+      ws.constants_epoch.resize(num_arcs, 0);
+      ws.setup_steps.resize(num_arcs);
+      ws.hold_steps.resize(num_arcs);
     }
     if (ws.var_epoch.size() < num_ffs) {
       ws.var_epoch.resize(num_ffs, 0);
@@ -113,12 +116,19 @@ struct SampleSolver::WorkingModel {
     ws.comps_used = 0;
   }
 
-  std::int64_t setup(int e) const {
-    return constants.setup_steps[static_cast<std::size_t>(e)];
+  /// Reads arc e's constants from the chip the first time this solve asks.
+  std::size_t read(int e) const {
+    const auto es = static_cast<std::size_t>(e);
+    if (ws.constants_epoch[es] != ws.epoch) {
+      mc::arc_constants(*solver.graph_, chip, es, solver.clock_period_,
+                        solver.step_ps_, ws.setup_steps[es],
+                        ws.hold_steps[es]);
+      ws.constants_epoch[es] = ws.epoch;
+    }
+    return es;
   }
-  std::int64_t hold(int e) const {
-    return constants.hold_steps[static_cast<std::size_t>(e)];
-  }
+  std::int64_t setup(int e) const { return ws.setup_steps[read(e)]; }
+  std::int64_t hold(int e) const { return ws.hold_steps[read(e)]; }
 
   bool in_model(int e) const {
     return ws.in_model_epoch[static_cast<std::size_t>(e)] == ws.epoch;
@@ -493,43 +503,50 @@ struct SampleSolver::WorkingModel {
 SampleSolution SampleSolver::solve(const mc::ArcSample& arc_sample,
                                    ConcentrateMode mode,
                                    const std::vector<double>* targets) const {
-  thread_local SolveWorkspace tls_ws;
-  mc::quantize_arc_constants(*graph_, arc_sample, clock_period_, step_ps_,
-                             tls_ws.constants);
-  return solve(mc::view_of(tls_ws.constants), mode, targets, tls_ws);
+  const ssta::SeqGraph& g = *graph_;
+  CLKTUNE_EXPECTS(arc_sample.dmax.size() == g.arcs.size() &&
+                  arc_sample.dmin.size() == g.arcs.size());
+  thread_local mc::ChipScratch scratch;
+  thread_local SolveWorkspace ws;
+  thread_local std::vector<int> violated;
+  const mc::ChipView chip = scratch.open(arc_sample);
+  violated.clear();
+  for (std::size_t e = 0; e < g.arcs.size(); ++e) {
+    std::int32_t setup = 0, hold = 0;
+    mc::arc_constants(g, chip, e, clock_period_, step_ps_, setup, hold);
+    if (setup < 0 || hold < 0) violated.push_back(static_cast<int>(e));
+  }
+  SampleSolution out;
+  solve({chip, violated}, mode, targets, ws, out);
+  return out;
 }
 
-SampleSolution SampleSolver::solve(const mc::ArcConstantsView& constants,
-                                   ConcentrateMode mode,
-                                   const std::vector<double>* targets,
-                                   SolveWorkspace& ws) const {
+void SampleSolver::solve(const ChipConstants& chip, ConcentrateMode mode,
+                         const std::vector<double>* targets,
+                         SolveWorkspace& ws, SampleSolution& out) const {
   CLKTUNE_EXPECTS(mode != ConcentrateMode::toward_target ||
                   targets != nullptr);
+  CLKTUNE_EXPECTS(std::is_sorted(chip.violated.begin(), chip.violated.end()));
   const ssta::SeqGraph& g = *graph_;
-  CLKTUNE_EXPECTS(constants.num_arcs == g.arcs.size());
-  SampleSolution out;
+  out.reset();
+  if (chip.violated.empty()) return;  // chip meets timing untouched: n_k = 0
 
-  WorkingModel wm(*this, constants, ws);
+  WorkingModel wm(*this, chip.chip, ws);
 
   // Seed the working model with all violated arcs.
-  bool any = false;
-  for (std::size_t e = 0; e < g.arcs.size(); ++e) {
-    if (constants.setup_steps[e] >= 0 && constants.hold_steps[e] >= 0)
-      continue;
-    const ssta::SeqArc& arc = g.arcs[e];
+  for (const int e : chip.violated) {
+    const ssta::SeqArc& arc = g.arcs[static_cast<std::size_t>(e)];
     const bool tunable =
         arc.src_ff != arc.dst_ff &&
         (windows_.candidate[static_cast<std::size_t>(arc.src_ff)] ||
          windows_.candidate[static_cast<std::size_t>(arc.dst_ff)]);
     if (!tunable) {
       out.fixable = false;  // failing arc that no buffer can influence
-      return out;
+      return;
     }
-    wm.add_arc(static_cast<int>(e));
-    wm.mark_violated(static_cast<int>(e));
-    any = true;
+    wm.add_arc(e);
+    wm.mark_violated(e);
   }
-  if (!any) return out;  // chip meets timing untouched: n_k = 0
 
   milp::Options milp_opt;
   milp_opt.max_nodes = milp_max_nodes_;
@@ -635,13 +652,13 @@ SampleSolution SampleSolver::solve(const mc::ArcConstantsView& constants,
         const milp::Result res = solve_built(bm, warm);
         if (res.status == milp::Status::infeasible) {
           out.fixable = false;
-          return out;
+          return;
         }
         if (res.status != milp::Status::optimal &&
             res.status != milp::Status::feasible) {
           out.fixable = false;
           out.truncated = true;
-          return out;
+          return;
         }
         out.truncated |= res.status == milp::Status::feasible;
         ws.count_solution.resize(comp.vars.size());
@@ -699,12 +716,10 @@ SampleSolution SampleSolver::solve(const mc::ArcConstantsView& constants,
   }
 
   out.mincount_tunings.assign(ws.mincount_acc.begin(), ws.mincount_acc.end());
-  out.tunings.clear();
   for (std::size_t v = 0; v < ws.ff_of_var.size(); ++v)
     if (ws.k_of_var[v] != 0)
       out.tunings.emplace_back(ws.ff_of_var[v],
                                static_cast<int>(ws.k_of_var[v]));
-  return out;
 }
 
 }  // namespace clktune::core

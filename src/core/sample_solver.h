@@ -15,22 +15,24 @@
 //    (Bellman-Ford) grows a buffer set greedily; the resulting incumbent
 //    lets branch & bound prune aggressively from the first node.
 //
-// The hot entry point consumes precomputed quantized constants
-// (mc::ArcConstantsView, usually from the engine's cross-pass cache) plus a
-// caller-owned SolveWorkspace.  The workspace holds every per-sample
-// scratch structure — working-model flags reset in O(active) via epoch
-// stamping, pooled component/greedy vectors, a reusable
-// difference-constraint system — so solving a sample that meets timing (or
-// is rescued without a MILP) performs zero heap allocations in steady
-// state, beyond the vectors owned by the returned solution.
+// The solver reads a chip lazily (ChipConstants): it is seeded with the
+// chip's violated arcs, found by the scan that screened it
+// (mc::violated_arcs), and reads every other arc's constants on demand
+// through the chip's view, so a chip costs the arcs the lazy loop touches
+// rather than all of them.  A caller-owned SolveWorkspace holds every
+// per-sample scratch structure — working-model flags and the constants
+// read so far, reset in O(1) via epoch stamping, pooled component/greedy
+// vectors, a reusable difference-constraint system — and the solve writes
+// into a caller-owned SampleSolution, so solving a chip that is rescued
+// without a MILP performs zero heap allocations in steady state.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "feas/diff_constraints.h"
-#include "mc/arc_constants.h"
 #include "mc/sampler.h"
 #include "milp/branch_and_bound.h"
 #include "ssta/seq_graph.h"
@@ -75,6 +77,27 @@ struct SampleSolution {
   int lazy_rounds = 0;
   int milps_solved = 0;
   bool truncated = false;  ///< a branch & bound hit its node limit
+
+  /// Back to a chip that passes untouched, keeping the vectors' capacity.
+  void reset() {
+    fixable = true;
+    nk = 0;
+    tunings.clear();
+    mincount_tunings.clear();
+    milp_nodes = 0;
+    lazy_rounds = 0;
+    milps_solved = 0;
+    truncated = false;
+  }
+};
+
+/// One chip as the solver reads it: the arcs with a negative setup or hold
+/// constant at x = 0, in ascending order (mc::violated_arcs; the working
+/// model's seed), and the chip's view, through which every other constant
+/// is read on demand (mc::arc_constants).
+struct ChipConstants {
+  const mc::ChipView& chip;
+  std::span<const int> violated;
 };
 
 /// Reusable per-thread scratch for SampleSolver::solve.  All members are
@@ -92,6 +115,10 @@ struct SolveWorkspace {
   // slots, all valid only where the stamp equals `epoch`.
   std::vector<std::uint64_t> in_model_epoch;  // per arc
   std::vector<std::uint64_t> violated_epoch;  // per arc
+  // Constants read so far this solve, per arc, guarded by constants_epoch.
+  std::vector<std::uint64_t> constants_epoch;
+  std::vector<std::int32_t> setup_steps;
+  std::vector<std::int32_t> hold_steps;
   std::vector<std::uint64_t> var_epoch;       // per FF
   std::vector<int> var_of_ff;                 // per FF, guarded by var_epoch
   std::vector<int> active;                    // arc ids in the working model
@@ -122,9 +149,6 @@ struct SolveWorkspace {
   // Verification / accumulation scratch.
   std::vector<int> fresh;
   std::vector<std::pair<int, int>> mincount_acc;
-
-  // Constants scratch for the ArcSample convenience overload.
-  mc::ArcConstants constants;
 };
 
 class SampleSolver {
@@ -133,16 +157,16 @@ class SampleSolver {
                double clock_period_ps, CandidateWindows windows,
                long milp_max_nodes = 50000);
 
-  /// Solves one sample from precomputed quantized constants — the hot path.
-  /// `targets` (step units, indexed by ff) is required for
+  /// Solves one chip into `out` (overwritten; its vectors keep their
+  /// capacity).  `targets` (step units, indexed by ff) is required for
   /// ConcentrateMode::toward_target.
-  SampleSolution solve(const mc::ArcConstantsView& constants,
-                       ConcentrateMode mode,
-                       const std::vector<double>* targets,
-                       SolveWorkspace& ws) const;
+  void solve(const ChipConstants& chip, ConcentrateMode mode,
+             const std::vector<double>* targets, SolveWorkspace& ws,
+             SampleSolution& out) const;
 
-  /// Convenience overload: quantizes `arc_sample` first (thread-local
-  /// workspace).  Prefer the view overload in loops.
+  /// Convenience overload for a chip drawn in full: finds its violated
+  /// arcs from every arc's constants and solves it on thread-local
+  /// scratch.
   SampleSolution solve(const mc::ArcSample& arc_sample, ConcentrateMode mode,
                        const std::vector<double>* targets = nullptr) const;
 

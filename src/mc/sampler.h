@@ -107,22 +107,6 @@ class Sampler {
                        rng_.normal_radius(k, 0x10000 + e));
   }
 
-  /// Fused kernel: draws sample k and writes the quantized constraint
-  /// constants straight into `setup`/`hold` (each graph().arcs.size() long)
-  /// without materialising the intermediate ArcSample.  Arithmetic is
-  /// identical to evaluate() followed by quantize_arc_constants(), so the
-  /// results are bit-identical — this is the hot path the insertion flow
-  /// and its cross-pass cache run on.
-  void evaluate_constants(std::uint64_t k, double clock_period_ps,
-                          double step_ps, std::int32_t* setup,
-                          std::int32_t* hold) const;
-
-  /// Does sample k violate some arc's setup or hold constant at x = 0?
-  /// Equals has_violation() over evaluate_constants()' output, but draws
-  /// only the arcs whose bracket cannot prove them clean.
-  bool has_violation(std::uint64_t k, double clock_period_ps,
-                     double step_ps) const;
-
   const ssta::SeqGraph& graph() const { return *graph_; }
   std::uint64_t seed() const { return rng_.seed(); }
 
@@ -142,8 +126,15 @@ class ChipScratch {
   /// Opens sample k of `sampler`; any view of an earlier chip of this
   /// scratch is invalid from here on.
   ChipView open(const Sampler& sampler, std::uint64_t k);
+  /// Opens a chip drawn in full elsewhere: every arc reads `drawn`'s
+  /// delays, and the view draws nothing (its index() is 0).
+  ChipView open(const ArcSample& drawn);
 
  private:
+  /// Sizes the memory for n arcs and starts a new epoch; returns the stamp
+  /// of a bounded arc in it.
+  std::uint64_t next_epoch(std::size_t n);
+
   std::uint64_t epoch_ = 0;
   /// 2 * epoch: arc's bracket known; 2 * epoch + 1: exact delays known.
   std::vector<std::uint64_t> stamp_;
@@ -182,16 +173,16 @@ class ChipView {
 
  private:
   friend class ChipScratch;
-  ChipView(const Sampler& sampler, std::uint64_t k, std::uint64_t* stamp,
-           DelayBounds* memo, std::uint64_t bounded)
-      : sampler_(&sampler),
+  ChipView(const Sampler* sampler, std::uint64_t k, const Globals& z,
+           std::uint64_t* stamp, DelayBounds* memo, std::uint64_t bounded)
+      : sampler_(sampler),
         k_(k),
-        z_(sampler.globals(k)),
+        z_(z),
         stamp_(stamp),
         memo_(memo),
         bounded_(bounded) {}
 
-  const Sampler* sampler_;
+  const Sampler* sampler_;  ///< null for a chip drawn elsewhere
   std::uint64_t k_;
   Globals z_;
   std::uint64_t* stamp_;   ///< ChipScratch::stamp_
@@ -199,15 +190,55 @@ class ChipView {
   std::uint64_t bounded_;  ///< stamp of a bounded arc; +1: drawn
 };
 
-inline ChipView ChipScratch::open(const Sampler& sampler, std::uint64_t k) {
-  const std::size_t n = sampler.graph().arcs.size();
+inline std::uint64_t ChipScratch::next_epoch(std::size_t n) {
   if (stamp_.size() != n) {
     stamp_.assign(n, 0);
     memo_.resize(n);
     epoch_ = 0;
   }
   ++epoch_;
-  return ChipView(sampler, k, stamp_.data(), memo_.data(), 2 * epoch_);
+  return 2 * epoch_;
 }
+
+inline ChipView ChipScratch::open(const Sampler& sampler, std::uint64_t k) {
+  const std::uint64_t bounded = next_epoch(sampler.graph().arcs.size());
+  return ChipView(&sampler, k, sampler.globals(k), stamp_.data(),
+                  memo_.data(), bounded);
+}
+
+inline ChipView ChipScratch::open(const ArcSample& drawn) {
+  const std::size_t n = drawn.dmax.size();
+  const std::uint64_t bounded = next_epoch(n);
+  for (std::size_t e = 0; e < n; ++e) {
+    memo_[e] = {drawn.dmax[e], drawn.dmax[e], drawn.dmin[e], drawn.dmin[e]};
+    stamp_[e] = bounded + 1;
+  }
+  return ChipView(nullptr, 0, Globals{}, stamp_.data(), memo_.data(),
+                  bounded);
+}
+
+/// Quantized constraint constants of arc e of `chip` (x_i - x_j <= setup,
+/// x_j - x_i <= hold): its exact delays through arc_slack and floor_steps,
+/// the one expression every per-sample solve reads.
+inline void arc_constants(const ssta::SeqGraph& g, const ChipView& chip,
+                          std::size_t e, double clock_period_ps,
+                          double step_ps, std::int32_t& setup,
+                          std::int32_t& hold) {
+  double late = 0.0, early = 0.0;
+  chip.delays(e, late, early);
+  double setup_c = 0.0, hold_c = 0.0;
+  arc_slack(g, e, late, early, clock_period_ps, setup_c, hold_c);
+  setup = floor_steps(setup_c, step_ps);
+  hold = floor_steps(hold_c, step_ps);
+}
+
+/// Writes to `out`, in ascending order, every arc of `chip` with a negative
+/// setup or hold constant (arc_constants) at x = 0.  An arc whose bracket
+/// proves both constants non-negative is not drawn; the rest are, and stay
+/// drawn in the view for whoever reads their constants next.  A chip with
+/// an empty list meets timing untouched: its n_k is 0 under any windows.
+void violated_arcs(const ssta::SeqGraph& g, const ChipView& chip,
+                   double clock_period_ps, double step_ps,
+                   std::vector<int>& out);
 
 }  // namespace clktune::mc

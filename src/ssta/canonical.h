@@ -21,8 +21,8 @@ inline constexpr int kParams = netlist::kNumGlobalParams;
 
 /// a * b rounded on its own, never fused with the add that consumes it.
 /// Monte-Carlo exactness rests on every site rounding Canon::eval alike:
-/// the delay bracket and the draw it brackets, the fused constants kernel
-/// and the full draw.  A compiler allowed to contract (-ffp-contract=fast
+/// the delay bracket and the draw it brackets, the lazy per-arc draw and
+/// the full draw.  A compiler allowed to contract (-ffp-contract=fast
 /// on an FMA target) may fuse a multiply-add at one inlining site and not
 /// at another; the empty asm makes the product opaque, so it never can.
 /// It emits no instruction, and without contraction it changes nothing.

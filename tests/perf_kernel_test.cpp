@@ -1,15 +1,11 @@
-// Tests for the zero-allocation sample kernel and cross-pass constant
-// reuse: DiffConstraints workspace semantics, the shared quantizer, the
-// engine's sample-constant cache budget, and steady-state allocation
-// counts in the Monte-Carlo inner loops.
+// Tests for the zero-allocation sample kernel: DiffConstraints workspace
+// semantics, the shared quantizer and its lazy per-arc form, and
+// steady-state allocation counts in the Monte-Carlo inner loops.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "core/engine.h"
-#include "core/report_json.h"
 #include "core/sample_solver.h"
 #include "feas/diff_constraints.h"
 #include "feas/yield_eval.h"
@@ -19,7 +15,6 @@
 #include "netlist/nominal_sta.h"
 #include "ssta/seq_graph.h"
 #include "util/alloc_counter.h"
-#include "util/thread_pool.h"
 
 namespace clktune {
 namespace {
@@ -129,21 +124,27 @@ struct KernelFixture {
   }
 };
 
-TEST(ArcConstantsTest, FusedKernelMatchesEvaluateThenQuantize) {
+TEST(ArcConstantsTest, LazyConstantsMatchEvaluateThenQuantize) {
   const KernelFixture fx;
   const mc::Sampler sampler(fx.graph, 99);
   const double step = fx.t0 / 160.0;
 
   mc::ArcSample sample;
-  mc::ArcConstants quantized, fused;
-  fused.resize(fx.graph.arcs.size());
+  mc::ArcConstants quantized;
+  mc::ChipScratch scratch;
   for (std::uint64_t k = 0; k < 16; ++k) {
     sampler.evaluate(k, sample);
     mc::quantize_arc_constants(fx.graph, sample, fx.t0, step, quantized);
-    sampler.evaluate_constants(k, fx.t0, step, fused.setup_steps.data(),
-                               fused.hold_steps.data());
-    ASSERT_EQ(quantized.setup_steps, fused.setup_steps) << "sample " << k;
-    ASSERT_EQ(quantized.hold_steps, fused.hold_steps) << "sample " << k;
+    const mc::ChipView chip = scratch.open(sampler, k);
+    // Every other arc bounded first: a bracketed arc must still read its
+    // exact draw.
+    for (std::size_t e = 0; e < fx.graph.arcs.size(); e += 2) chip.bounds(e);
+    for (std::size_t e = 0; e < fx.graph.arcs.size(); ++e) {
+      std::int32_t setup = 0, hold = 0;
+      mc::arc_constants(fx.graph, chip, e, fx.t0, step, setup, hold);
+      ASSERT_EQ(setup, quantized.setup_steps[e]) << "sample " << k;
+      ASSERT_EQ(hold, quantized.hold_steps[e]) << "sample " << k;
+    }
   }
 }
 
@@ -168,148 +169,6 @@ TEST(ArcConstantsTest, SolverArcConstantsUseSharedQuantizer) {
   }
 }
 
-TEST(ArcConstantsTest, ConstantCacheStreamingMatchesCached) {
-  const KernelFixture fx;
-  const mc::Sampler sampler(fx.graph, 42);
-  const double step = fx.t0 / 160.0;
-  const std::uint64_t n = 8;
-
-  mc::SampleConstantCache cached(sampler, fx.t0, step, n, 1ull << 30);
-  mc::SampleConstantCache streaming(sampler, fx.t0, step, n, 0);
-  ASSERT_TRUE(cached.caching());
-  ASSERT_FALSE(streaming.caching());
-
-  mc::ArcConstants scratch_a, scratch_b, fused;
-  fused.resize(fx.graph.arcs.size());
-  std::uint64_t violating = 0;
-  for (std::uint64_t k = 0; k < n; ++k) {
-    const std::optional<mc::ArcConstantsView> a = cached.fill(k, scratch_a);
-    const std::optional<mc::ArcConstantsView> b = streaming.fill(k, scratch_b);
-    // The screen keeps exactly the samples whose fused constants violate,
-    // and a kept sample carries the fused constants.
-    sampler.evaluate_constants(k, fx.t0, step, fused.setup_steps.data(),
-                               fused.hold_steps.data());
-    ASSERT_EQ(a.has_value(), mc::has_violation(mc::view_of(fused)));
-    ASSERT_EQ(b.has_value(), a.has_value());
-    EXPECT_EQ(cached.violating(k), a.has_value());
-    EXPECT_EQ(streaming.violating(k), a.has_value());
-    if (!a) continue;
-    ++violating;
-    ASSERT_EQ(a->num_arcs, fused.setup_steps.size());
-    ASSERT_EQ(b->num_arcs, fused.setup_steps.size());
-    for (std::size_t e = 0; e < a->num_arcs; ++e) {
-      ASSERT_EQ(a->setup_steps[e], fused.setup_steps[e]);
-      ASSERT_EQ(a->hold_steps[e], fused.hold_steps[e]);
-      ASSERT_EQ(b->setup_steps[e], fused.setup_steps[e]);
-      ASSERT_EQ(b->hold_steps[e], fused.hold_steps[e]);
-    }
-  }
-  // Only violating samples are stored, each as one slice.
-  EXPECT_GT(violating, 0u);
-  EXPECT_EQ(cached.bytes(),
-            violating * mc::SampleConstantCache::slice_bytes(fx.graph.arcs.size()));
-  EXPECT_EQ(streaming.bytes(), 0u);
-  // get() after fill: cached lookups reproduce the stored values.
-  for (std::uint64_t k = 0; k < n; ++k) {
-    const mc::ArcConstantsView a = cached.get(k, scratch_a);
-    const mc::ArcConstantsView b = streaming.get(k, scratch_b);
-    for (std::size_t e = 0; e < a.num_arcs; ++e)
-      ASSERT_EQ(a.setup_steps[e], b.setup_steps[e]);
-  }
-}
-
-TEST(ArcConstantsTest, ConstantsOutsideInt16AreStreamedNotStored) {
-  const KernelFixture fx;
-  const mc::Sampler sampler(fx.graph, 42);
-  // A step this fine makes every constant a step count far past int16.
-  const double step = 1e-4;
-  const std::uint64_t n = 8;
-  mc::SampleConstantCache cache(sampler, fx.t0, step, n, 1ull << 30);
-  mc::ArcConstants scratch, fused;
-  fused.resize(fx.graph.arcs.size());
-  std::uint64_t violating = 0;
-  for (std::uint64_t k = 0; k < n; ++k)
-    violating += cache.fill(k, scratch).has_value() ? 1 : 0;
-  ASSERT_GT(violating, 0u);
-  EXPECT_EQ(cache.bytes(), 0u);
-  for (std::uint64_t k = 0; k < n; ++k) {
-    if (!cache.violating(k)) continue;
-    const mc::ArcConstantsView got = cache.get(k, scratch);
-    sampler.evaluate_constants(k, fx.t0, step, fused.setup_steps.data(),
-                               fused.hold_steps.data());
-    for (std::size_t e = 0; e < got.num_arcs; ++e) {
-      ASSERT_EQ(got.setup_steps[e], fused.setup_steps[e]);
-      ASSERT_EQ(got.hold_steps[e], fused.hold_steps[e]);
-    }
-  }
-}
-
-// ------------------------ engine cache budget ------------------------------
-
-TEST(EngineSampleCacheTest, ToggleAndBudgetProduceIdenticalResults) {
-  const KernelFixture fx(80, 600, 4242);
-  const double t = netlist::nominal_min_period(fx.design) * 1.1;
-
-  core::InsertionConfig cfg;
-  cfg.num_samples = 200;
-
-  core::BufferInsertionEngine cached(fx.design, fx.graph, t, cfg);
-  const std::string with_cache =
-      core::insertion_result_json(cached.run()).dump();
-
-  cfg.sample_cache_max_bytes = 0;  // stores nothing
-  core::BufferInsertionEngine uncached(fx.design, fx.graph, t, cfg);
-  const std::string without_cache =
-      core::insertion_result_json(uncached.run()).dump();
-
-  cfg.sample_cache_max_bytes = 64;  // forces streaming mode
-  core::BufferInsertionEngine streaming(fx.design, fx.graph, t, cfg);
-  const core::InsertionResult streamed = streaming.run();
-  const std::string with_streaming =
-      core::insertion_result_json(streamed).dump();
-
-  // A budget holding only half of the violating samples: the engine stores
-  // what fits and recomputes the rest.  Fill a cache of the engine's shape
-  // the way step 1 does (concurrently) to check what the budget stores.
-  const mc::Sampler sampler(fx.graph, cfg.sample_seed);
-  const std::uint64_t slice =
-      mc::SampleConstantCache::slice_bytes(fx.graph.arcs.size());
-  std::uint64_t violating = 0;
-  {
-    mc::SampleConstantCache probe(sampler, t, streamed.step_ps,
-                                  cfg.num_samples, 1ull << 30);
-    mc::ArcConstants scratch;
-    for (std::uint64_t k = 0; k < cfg.num_samples; ++k) {
-      probe.fill(k, scratch);
-      violating += probe.violating(k) ? 1 : 0;
-    }
-    EXPECT_EQ(probe.bytes(), violating * slice);
-  }
-  ASSERT_GE(violating, 2u);
-  ASSERT_LT(violating, cfg.num_samples) << "fixture needs passing samples";
-  const std::uint64_t partial_budget = (violating / 2) * slice + slice / 2;
-  {
-    mc::SampleConstantCache partial(sampler, t, streamed.step_ps,
-                                    cfg.num_samples, partial_budget);
-    util::parallel_pull(cfg.num_samples, 4, [&](std::size_t, std::size_t k) {
-      thread_local mc::ArcConstants scratch;
-      partial.fill(k, scratch);
-    });
-    EXPECT_EQ(partial.bytes(), (violating / 2) * slice);
-    EXPECT_LE(partial.bytes(), partial_budget);
-  }
-  cfg.sample_cache_max_bytes = partial_budget;
-  core::BufferInsertionEngine part(fx.design, fx.graph, t, cfg);
-  const std::string with_partial =
-      core::insertion_result_json(part.run()).dump();
-
-  // Identical JSON covers plan geometry, per-buffer stats, histograms and
-  // the per-phase MILP counters — steps 1/2a/2b behave identically.
-  EXPECT_EQ(with_cache, without_cache);
-  EXPECT_EQ(with_cache, with_streaming);
-  EXPECT_EQ(with_cache, with_partial);
-}
-
 // ----------------------- zero-allocation guarantees ------------------------
 
 TEST(ZeroAllocTest, DiffConstraintsSteadyStateDoesNotAllocate) {
@@ -331,30 +190,6 @@ TEST(ZeroAllocTest, DiffConstraintsSteadyStateDoesNotAllocate) {
   const std::uint64_t allocs = scope.delta();
   EXPECT_TRUE(all_consistent);
   EXPECT_EQ(allocs, 0u);
-}
-
-TEST(ZeroAllocTest, ScreenedConstantFillDoesNotAllocate) {
-  const KernelFixture fx;
-  const mc::Sampler sampler(fx.graph, 654);
-  const double step = fx.t0 / 160.0;
-  const std::uint64_t n = 200;
-  // Stored and streamed constants: the screen, the fused kernel and the
-  // store must all run from preallocated memory.
-  for (const std::uint64_t budget : {1ull << 30, 0ull}) {
-    mc::SampleConstantCache cache(sampler, fx.t0, step, n, budget);
-    mc::ArcConstants scratch;
-    std::uint64_t kept = 0;
-    for (std::uint64_t k = 0; k < 16; ++k)  // warm the scratch
-      kept += cache.fill(k, scratch).has_value() ? 1 : 0;
-
-    util::AllocCounterScope scope;
-    for (std::uint64_t k = 16; k < n; ++k)
-      kept += cache.fill(k, scratch).has_value() ? 1 : 0;
-    const std::uint64_t allocs = scope.delta();
-    EXPECT_EQ(allocs, 0u) << "budget " << budget;
-    EXPECT_GT(kept, 0u);  // both outcomes of the screen are exercised
-    EXPECT_LT(kept, n);
-  }
 }
 
 TEST(ZeroAllocTest, YieldCheckSteadyStateDoesNotAllocate) {
@@ -381,46 +216,52 @@ TEST(ZeroAllocTest, YieldCheckSteadyStateDoesNotAllocate) {
   EXPECT_GT(passing, 0u);  // keep the loop observable
 }
 
-TEST(ZeroAllocTest, SolverPassingSamplesSteadyStateDoesNotAllocate) {
+TEST(ZeroAllocTest, ScanAndLazySolveDoNotAllocate) {
   const KernelFixture fx;
-  // Generous clock: every sample meets timing, exercising the seed-scan
-  // fast path the insertion flow takes for passing chips.
-  const double t = fx.t0 * 2.0;
+  // At the nominal period most chips violate some arc; many of those are
+  // rescued by the single-buffer closed form or the greedy oracle, and the
+  // rest pass untouched or need a MILP.
+  const double t = fx.t0;
   const double step = fx.t0 / 160.0;
   const core::SampleSolver solver(
       fx.graph, step, t,
       core::CandidateWindows::floating(fx.graph.num_ffs, 20));
   const mc::Sampler sampler(fx.graph, 777);
-  const std::uint64_t n = 128;
-  const auto constants = [&](std::uint64_t k, mc::ArcConstants& c) {
-    sampler.evaluate_constants(k, t, step, c.setup_steps.data(),
-                               c.hold_steps.data());
-    return mc::view_of(c);
+  const std::uint64_t n = 200;
+
+  mc::ChipScratch scratch;
+  core::SolveWorkspace ws;
+  std::vector<int> violated;
+  core::SampleSolution sol;
+  const auto scan_and_solve = [&](std::uint64_t k) {
+    const mc::ChipView chip = scratch.open(sampler, k);
+    mc::violated_arcs(fx.graph, chip, t, step, violated);
+    solver.solve({chip, violated}, core::ConcentrateMode::toward_zero,
+                 nullptr, ws, sol);
   };
 
-  core::SolveWorkspace ws;
-  mc::ArcConstants scratch;
-  scratch.resize(fx.graph.arcs.size());
-  // Warm-up: first sample sizes the workspace.
-  int nk_sum = 0;
-  {
-    const core::SampleSolution sol =
-        solver.solve(constants(0, scratch),
-                     core::ConcentrateMode::toward_zero, nullptr, ws);
-    ASSERT_TRUE(sol.fixable);
-    ASSERT_EQ(sol.nk, 0) << "fixture must pass at 2x nominal period";
+  // Warm-up over every chip sizes the scratch; keep those that pass
+  // untouched or are rescued without a MILP.
+  std::vector<std::uint64_t> steady;
+  std::uint64_t rescued = 0;
+  for (std::uint64_t k = 0; k < n; ++k) {
+    scan_and_solve(k);
+    if (!sol.fixable || sol.milps_solved > 0) continue;
+    steady.push_back(k);
+    rescued += sol.nk > 0 ? 1 : 0;
   }
+  ASSERT_GT(rescued, 10u) << "fixture must rescue chips without a MILP";
+  ASSERT_LT(rescued, steady.size()) << "fixture must have passing chips";
 
   util::AllocCounterScope scope;
-  for (std::uint64_t k = 1; k < n; ++k) {
-    const core::SampleSolution sol =
-        solver.solve(constants(k, scratch),
-                     core::ConcentrateMode::toward_zero, nullptr, ws);
-    nk_sum += sol.nk;
+  std::uint64_t rescued_again = 0;
+  for (const std::uint64_t k : steady) {
+    scan_and_solve(k);
+    rescued_again += sol.nk > 0 ? 1 : 0;
   }
   const std::uint64_t allocs = scope.delta();
   EXPECT_EQ(allocs, 0u);
-  EXPECT_EQ(nk_sum, 0);
+  EXPECT_EQ(rescued_again, rescued);
 }
 
 }  // namespace

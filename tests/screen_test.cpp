@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/baselines.h"
+#include "core/sample_solver.h"
 #include "feas/diff_constraints.h"
 #include "feas/tuning_plan.h"
 #include "feas/yield_eval.h"
@@ -376,28 +377,120 @@ TEST(ScreenOracleTest, YieldReportMatchesFullDraws) {
   EXPECT_GT(rescued, 0u);  // the plans' edge arcs are exercised
 }
 
-TEST(ScreenOracleTest, ViolatingStepOneChipsMatchFusedConstants) {
+/// Arcs with a negative constant among a fully drawn chip's quantized
+/// constants, ascending.
+std::vector<int> full_draw_violated(const mc::ArcConstants& c) {
+  std::vector<int> out;
+  for (std::size_t e = 0; e < c.setup_steps.size(); ++e)
+    if (c.setup_steps[e] < 0 || c.hold_steps[e] < 0)
+      out.push_back(static_cast<int>(e));
+  return out;
+}
+
+TEST(ScreenOracleTest, ViolatedArcsMatchFullDraws) {
   for (const PaperCircuit& c : paper_circuits()) {
     const mc::Sampler sampler(c.graph, 20160314);
     const double step = netlist::nominal_min_period(c.design) / 8.0 / 20.0;
     for (const double period : paper_periods(sampler)) {
       SCOPED_TRACE(c.name + " T=" + std::to_string(period));
-      mc::SampleConstantCache cache(sampler, period, step, kChips, 1ull << 30);
-      mc::ArcConstants fused, scratch;
-      fused.resize(c.graph.arcs.size());
-      std::uint64_t violating = 0;
+      mc::ArcSample drawn;
+      mc::ArcConstants quantized;
+      mc::ChipScratch scratch;
+      std::vector<int> got;
+      std::uint64_t violating = 0, several = 0;
       for (std::size_t k = 0; k < kChips; ++k) {
-        sampler.evaluate_constants(k, period, step, fused.setup_steps.data(),
-                                   fused.hold_steps.data());
-        const bool want = mc::has_violation(mc::view_of(fused));
-        ASSERT_EQ(sampler.has_violation(k, period, step), want) << "chip " << k;
-        ASSERT_EQ(cache.fill(k, scratch).has_value(), want) << "chip " << k;
-        violating += want ? 1 : 0;
+        sampler.evaluate(k, drawn);
+        mc::quantize_arc_constants(c.graph, drawn, period, step, quantized);
+        const std::vector<int> want = full_draw_violated(quantized);
+        mc::violated_arcs(c.graph, scratch.open(sampler, k), period, step,
+                          got);
+        ASSERT_EQ(got, want) << "chip " << k;
+        violating += want.empty() ? 0 : 1;
+        several += want.size() > 1 ? 1 : 0;
       }
       EXPECT_GT(violating, 0u);
       EXPECT_LT(violating, kChips);
+      if (period == paper_periods(sampler).front()) {
+        EXPECT_GT(several, 0u);  // the scan goes on past the first
+      }
     }
   }
+}
+
+void expect_same_solution(const core::SampleSolution& got,
+                          const core::SampleSolution& want) {
+  EXPECT_EQ(got.fixable, want.fixable);
+  EXPECT_EQ(got.nk, want.nk);
+  EXPECT_EQ(got.tunings, want.tunings);
+  EXPECT_EQ(got.mincount_tunings, want.mincount_tunings);
+  EXPECT_EQ(got.milps_solved, want.milps_solved);
+  EXPECT_EQ(got.milp_nodes, want.milp_nodes);
+  EXPECT_EQ(got.lazy_rounds, want.lazy_rounds);
+  EXPECT_EQ(got.truncated, want.truncated);
+}
+
+TEST(LazySolveTest, MatchesDenseSampleOnEveryViolatingChip) {
+  const std::vector<core::ConcentrateMode> modes = {
+      core::ConcentrateMode::none, core::ConcentrateMode::toward_zero,
+      core::ConcentrateMode::toward_target};
+  std::uint64_t solved = 0, rescued = 0, unfixable = 0, milps = 0;
+  for (const PaperCircuit& c : paper_circuits()) {
+    const mc::Sampler sampler(c.graph, 20160314);
+    const double step = netlist::nominal_min_period(c.design) / 8.0 / 20.0;
+    const auto ns = static_cast<std::size_t>(c.graph.num_ffs);
+    // Floating windows as in step 1, and fixed ones as in step 2: every
+    // third flip-flop a candidate with an off-centre window, so that some
+    // chips cannot be rescued.
+    core::CandidateWindows fixed = core::CandidateWindows::none(c.graph.num_ffs);
+    std::vector<double> targets(ns, 0.0);
+    for (std::size_t f = 0; f < ns; ++f) {
+      targets[f] = static_cast<double>(f % 9) - 4.0;
+      if (f % 3 != 0) continue;
+      fixed.candidate[f] = 1;
+      fixed.k_lo[f] = -6;
+      fixed.k_hi[f] = 14;
+    }
+    for (const double period : paper_periods(sampler)) {
+      const std::vector<core::SampleSolver> solvers = {
+          core::SampleSolver(
+              c.graph, step, period,
+              core::CandidateWindows::floating(c.graph.num_ffs, 20)),
+          core::SampleSolver(c.graph, step, period, fixed)};
+      mc::ArcSample drawn;
+      mc::ChipScratch scratch;
+      core::SolveWorkspace ws;
+      std::vector<int> violated;
+      core::SampleSolution lazy;
+      for (std::size_t k = 0; k < kChips; ++k) {
+        const mc::ChipView scanned = scratch.open(sampler, k);
+        mc::violated_arcs(c.graph, scanned, period, step, violated);
+        if (violated.empty()) continue;
+        sampler.evaluate(k, drawn);
+        bool first = true;
+        for (const core::SampleSolver& solver : solvers)
+          for (const core::ConcentrateMode mode : modes) {
+            // The first solve reads through the view the scan drew, as
+            // step 1 does; the rest reopen the chip, as steps 2a/2b do.
+            const mc::ChipView chip =
+                first ? scanned : scratch.open(sampler, k);
+            first = false;
+            SCOPED_TRACE(c.name + " T=" + std::to_string(period) +
+                         " chip " + std::to_string(k) + " mode " +
+                         std::to_string(static_cast<int>(mode)));
+            solver.solve({chip, violated}, mode, &targets, ws, lazy);
+            expect_same_solution(lazy, solver.solve(drawn, mode, &targets));
+            ++solved;
+            rescued += lazy.fixable && lazy.nk > 0 ? 1 : 0;
+            unfixable += lazy.fixable ? 0 : 1;
+            milps += static_cast<std::uint64_t>(lazy.milps_solved);
+          }
+      }
+    }
+  }
+  EXPECT_GT(rescued, 0u);
+  EXPECT_GT(unfixable, 0u);
+  EXPECT_GT(milps, 0u);
+  EXPECT_GT(solved, 1000u);
 }
 
 TEST(ScreenOracleTest, FailingIncidenceMatchesFullDraws) {
