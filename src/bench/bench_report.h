@@ -32,9 +32,10 @@ std::string bench_hostname();
 /// main, feed it counters as the run progresses, and `return report.write()`
 /// at the end.  Writes BENCH_<name>.json into the working directory with
 /// wall-clock seconds, samples/sec throughput, total MILP nodes, the
-/// main thread's heap-allocation count and the process's peak RSS, so perf trajectories are diffable
-/// across commits (CI uploads them as artifacts; scripts/perf_gate.sh
-/// holds the checked-in bench/baselines/ trajectory against them).
+/// main thread's heap-allocation count and the process's peak RSS, so
+/// perf trajectories are diffable across commits (CI uploads them as
+/// artifacts; scripts/perf_gate.sh holds the checked-in bench/baselines/
+/// trajectory against them).
 class BenchReport {
  public:
   explicit BenchReport(std::string name) : name_(std::move(name)) {}

@@ -102,9 +102,6 @@ struct SampleSolver::WorkingModel {
     if (ws.in_model_epoch.size() < num_arcs) {
       ws.in_model_epoch.resize(num_arcs, 0);
       ws.violated_epoch.resize(num_arcs, 0);
-      ws.constants_epoch.resize(num_arcs, 0);
-      ws.setup_steps.resize(num_arcs);
-      ws.hold_steps.resize(num_arcs);
     }
     if (ws.var_epoch.size() < num_ffs) {
       ws.var_epoch.resize(num_ffs, 0);
@@ -116,19 +113,16 @@ struct SampleSolver::WorkingModel {
     ws.comps_used = 0;
   }
 
-  /// Reads arc e's constants from the chip the first time this solve asks.
-  std::size_t read(int e) const {
-    const auto es = static_cast<std::size_t>(e);
-    if (ws.constants_epoch[es] != ws.epoch) {
-      mc::arc_constants(*solver.graph_, chip, es, solver.clock_period_,
-                        solver.step_ps_, ws.setup_steps[es],
-                        ws.hold_steps[es]);
-      ws.constants_epoch[es] = ws.epoch;
-    }
-    return es;
+  /// Arc e's {setup, hold} constants, read through the chip view, which
+  /// draws each arc at most once per chip.
+  std::pair<std::int64_t, std::int64_t> constants(int e) const {
+    std::int32_t setup_c = 0, hold_c = 0;
+    mc::arc_constants(*solver.graph_, chip, static_cast<std::size_t>(e),
+                      solver.clock_period_, solver.step_ps_, setup_c, hold_c);
+    return {setup_c, hold_c};
   }
-  std::int64_t setup(int e) const { return ws.setup_steps[read(e)]; }
-  std::int64_t hold(int e) const { return ws.hold_steps[read(e)]; }
+  std::int64_t setup(int e) const { return constants(e).first; }
+  std::int64_t hold(int e) const { return constants(e).second; }
 
   bool in_model(int e) const {
     return ws.in_model_epoch[static_cast<std::size_t>(e)] == ws.epoch;

@@ -18,13 +18,14 @@
 // The solver reads a chip lazily (ChipConstants): it is seeded with the
 // chip's violated arcs, found by the scan that screened it
 // (mc::violated_arcs), and reads every other arc's constants on demand
-// through the chip's view, so a chip costs the arcs the lazy loop touches
-// rather than all of them.  A caller-owned SolveWorkspace holds every
-// per-sample scratch structure — working-model flags and the constants
-// read so far, reset in O(1) via epoch stamping, pooled component/greedy
-// vectors, a reusable difference-constraint system — and the solve writes
-// into a caller-owned SampleSolution, so solving a chip that is rescued
-// without a MILP performs zero heap allocations in steady state.
+// through the chip's view (which draws each arc at most once per chip), so
+// a chip costs the arcs the lazy loop touches rather than all of them.  A
+// caller-owned SolveWorkspace holds every per-sample scratch structure —
+// working-model flags reset in O(1) via epoch stamping, pooled
+// component/greedy vectors, a reusable difference-constraint system — and
+// the solve writes into a caller-owned SampleSolution, so solving a chip
+// that is rescued without a MILP performs zero heap allocations in steady
+// state.
 #pragma once
 
 #include <cstdint>
@@ -115,10 +116,6 @@ struct SolveWorkspace {
   // slots, all valid only where the stamp equals `epoch`.
   std::vector<std::uint64_t> in_model_epoch;  // per arc
   std::vector<std::uint64_t> violated_epoch;  // per arc
-  // Constants read so far this solve, per arc, guarded by constants_epoch.
-  std::vector<std::uint64_t> constants_epoch;
-  std::vector<std::int32_t> setup_steps;
-  std::vector<std::int32_t> hold_steps;
   std::vector<std::uint64_t> var_epoch;       // per FF
   std::vector<int> var_of_ff;                 // per FF, guarded by var_epoch
   std::vector<int> active;                    // arc ids in the working model
